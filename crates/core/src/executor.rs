@@ -1019,8 +1019,9 @@ mod tests {
 
     #[test]
     fn striking_worker_is_quarantined_and_items_survive() {
-        // Worker 0 panics on every claim; worker 1 is healthy but slow
-        // enough that worker 0 keeps claiming until quarantined.
+        // Worker 0 panics on every claim; worker 1 is healthy but holds
+        // its first item until worker 0 has struck out, so worker 0 is
+        // quarantined however the host schedules the two threads.
         let items: Vec<ExecItem> = (0..12)
             .map(|id| ExecItem {
                 id,
@@ -1032,11 +1033,16 @@ mod tests {
             ..quick_opts()
         };
         let completed = Mutex::new(Vec::new());
+        let panics = AtomicUsize::new(0);
         let stats = execute(&items, 2, &opts, |id, ctx| {
             if ctx.worker == 0 {
+                panics.fetch_add(1, Ordering::SeqCst);
                 panic!("poisoned worker");
             }
-            std::thread::sleep(Duration::from_millis(3));
+            let give_up = Instant::now() + Duration::from_secs(10);
+            while panics.load(Ordering::SeqCst) < 2 && Instant::now() < give_up {
+                std::thread::sleep(Duration::from_millis(1));
+            }
             completed.lock().expect("poisoned").push(id);
             Verdict::Done { poisoned: false }
         });

@@ -85,11 +85,41 @@ struct TaskSim {
     wl: TaskWorkload,
     ctx: ExecContext,
     pending: Option<PendingMem>,
-    /// One-entry TLB for the batched core loop: `(vpn, frame base)` of
-    /// the task's last translation. Purely an accelerator — mappings
-    /// only grow and never move, so a cached pair cannot go stale
-    /// within a run. Runtime-only: reset on restore, never saved.
-    tlb: Option<(u64, u64)>,
+    tlb: Tlb,
+}
+
+/// Sets in a [`Tlb`]; a power of two.
+const TLB_SETS: usize = 64;
+
+/// Per-task TLB for the batched core loop: direct-mapped on the low VPN
+/// bits, one `(vpn, frame base)` pair per set, `u64::MAX` marking an
+/// empty set (no VPN reaches it). Purely an accelerator — mappings only
+/// grow and never move, so a cached pair cannot go stale within a run.
+/// Runtime-only: cleared on restore, never saved.
+#[derive(Debug)]
+struct Tlb {
+    sets: [(u64, u64); TLB_SETS],
+}
+
+impl Tlb {
+    const EMPTY: u64 = u64::MAX;
+
+    fn new() -> Self {
+        Tlb {
+            sets: [(Self::EMPTY, 0); TLB_SETS],
+        }
+    }
+
+    #[inline]
+    fn lookup(&self, vpn: u64) -> Option<u64> {
+        let (cached, frame_base) = self.sets[vpn as usize % TLB_SETS];
+        (cached == vpn).then_some(frame_base)
+    }
+
+    #[inline]
+    fn insert(&mut self, vpn: u64, frame_base: u64) {
+        self.sets[vpn as usize % TLB_SETS] = (vpn, frame_base);
+    }
 }
 
 /// Per-core state.
@@ -459,7 +489,7 @@ impl System {
                 wl: TaskWorkload::new(bench, cfg.seed ^ (i as u64).wrapping_mul(0x9E3779B9)),
                 ctx: ExecContext::new(),
                 pending: None,
-                tlb: None,
+                tlb: Tlb::new(),
             });
         }
         let cores = (0..cfg.n_cores)
@@ -1301,7 +1331,7 @@ impl System {
             });
             // The restored page table may disagree with whatever the
             // live run had cached; the TLB is rebuilt on demand.
-            sim.tlb = None;
+            sim.tlb = Tlb::new();
         }
         self.sched.restore_state(&s.sched)?;
         self.alloc.restore_state(&s.alloc)?;
@@ -1799,20 +1829,18 @@ impl System {
     }
 
     /// TLB-accelerated [`System::translate`]: consults the task's
-    /// one-entry translation cache before walking the page table.
-    /// Mappings only grow and never move (`AddressSpace::map` rejects
-    /// remaps), so a hit reproduces the page-table walk bit for bit.
+    /// [`Tlb`] before walking the page table. Mappings only grow and
+    /// never move (`AddressSpace::map` rejects remaps), so a hit
+    /// reproduces the page-table walk bit for bit.
     #[inline]
     fn translate_fast(&mut self, cur: usize, vaddr: u64) -> Result<u64, RefsimError> {
         let vpn = vaddr / PAGE_BYTES;
         let offset = vaddr % PAGE_BYTES;
-        if let Some((cached_vpn, frame_base)) = self.sims[cur].tlb {
-            if cached_vpn == vpn {
-                return Ok(frame_base + offset);
-            }
+        if let Some(frame_base) = self.sims[cur].tlb.lookup(vpn) {
+            return Ok(frame_base + offset);
         }
         let paddr = self.translate(cur, vaddr)?;
-        self.sims[cur].tlb = Some((vpn, paddr - offset));
+        self.sims[cur].tlb.insert(vpn, paddr - offset);
         Ok(paddr)
     }
 
@@ -2148,6 +2176,65 @@ mod tests {
                 "resumed run diverged from uninterrupted run"
             );
         }
+    }
+
+    /// VPNs `v` and `v + 64` share a TLB set, so alternating them misses
+    /// every time; each fall-through walk still returns the page table's
+    /// translation, and the set holds only the latest of the two.
+    #[test]
+    fn tlb_set_conflicts_fall_through_to_the_page_table() {
+        let mut sys = System::new(quick(SystemConfig::table1()), &small_mix());
+        let v = 5 * PAGE_BYTES + 0x18;
+        let w = v + TLB_SETS as u64 * PAGE_BYTES;
+        for round in 0..4 {
+            for (vaddr, other) in [(v, w), (w, v)] {
+                let paddr = sys.translate_fast(0, vaddr).expect("translate");
+                let walked = sys.os_tasks[0].mm.translate(vaddr).expect("mapped");
+                assert_eq!(paddr, walked, "round {round}, vaddr {vaddr:#x}");
+                let tlb = &sys.sims[0].tlb;
+                assert_eq!(
+                    tlb.lookup(vaddr / PAGE_BYTES),
+                    Some(walked - vaddr % PAGE_BYTES)
+                );
+                assert_eq!(tlb.lookup(other / PAGE_BYTES), None);
+            }
+        }
+        let (pv, pw) = (
+            sys.translate_fast(0, v).expect("translate"),
+            sys.translate_fast(0, w).expect("translate"),
+        );
+        assert_ne!(pv / PAGE_BYTES, pw / PAGE_BYTES);
+    }
+
+    /// Restoring into a machine that has already run further — its TLBs
+    /// warm with pages the checkpoint's page tables do not map yet — must
+    /// resume exactly like the uninterrupted run. `import_state` clears
+    /// every TLB, so each later first touch still faults its page in.
+    #[test]
+    fn restore_over_a_warm_tlb_is_bit_identical() {
+        let cfg = quick(SystemConfig::table1().co_design());
+        let mix = WorkloadMix::from_groups(
+            "tlb-conflict",
+            &[(Benchmark::Mcf, 2), (Benchmark::GemsFdtd, 2)],
+            "H + M",
+        );
+        let mid = cfg.warmup;
+        let end = cfg.warmup + cfg.measure / 2;
+
+        let mut reference = System::new(cfg.clone(), &mix);
+        reference.run_until(mid);
+        let state = reference.export_state();
+        reference.run_until(end);
+
+        let mut warm = System::new(cfg.clone(), &mix);
+        warm.run_until(end);
+        warm.import_state(&state).expect("same shape");
+        warm.run_until(end);
+        assert_eq!(
+            crate::codec::to_bytes(&reference.export_state()),
+            crate::codec::to_bytes(&warm.export_state()),
+            "a warm TLB leaked across the restore"
+        );
     }
 
     /// A checkpoint survives the framed byte format (not just the

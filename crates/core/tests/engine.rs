@@ -125,6 +125,40 @@ fn tick_paths_are_bit_identical_for_every_policy_and_engine() {
             );
         }
     }
+    // A TLB-conflict mix: mcf's random pages and GemsFDTD's six streams
+    // keep evicting one another from the batched path's per-task TLB, so
+    // its fall-through walks run constantly. All-bank and the co-design
+    // only, to bound the runtime.
+    let mix = WorkloadMix::from_groups(
+        "tlb-conflict",
+        &[(Benchmark::Mcf, 2), (Benchmark::GemsFdtd, 2)],
+        "H + M",
+    );
+    for base in [
+        quick(SystemConfig::table1()).with_refresh(RefreshPolicyKind::AllBank),
+        quick(SystemConfig::table1()).co_design(),
+    ] {
+        for engine in [EngineKind::FixedStep, EngineKind::EventSkip] {
+            let base = base.clone().with_engine(engine);
+            let (m_batch, h_batch) =
+                run_once(&base.clone().with_tick_path(TickPath::Batched), &mix);
+            let (m_scalar, h_scalar) = run_once(
+                &base.clone().with_tick_path(TickPath::ScalarReference),
+                &mix,
+            );
+            let label = (base.refresh_policy, engine);
+            assert_eq!(
+                m_batch, m_scalar,
+                "TLB-conflict mix diverged under {label:?}"
+            );
+            assert_eq!(
+                h_batch.combined(),
+                h_scalar.combined(),
+                "TLB-conflict mix replay hash diverged under {label:?}: {:?}",
+                h_batch.first_diff(&h_scalar)
+            );
+        }
+    }
 }
 
 /// Intra-run channel sharding (`ShardMode::Channel`) is only allowed to

@@ -63,17 +63,12 @@ impl CacheConfig {
         if !self.sets().is_power_of_two() {
             return Err("set count must be a power of two".to_owned());
         }
+        if self.line_bytes == 1 && self.sets() == 1 {
+            // A 64-bit tag would not leave room for the valid bit.
+            return Err("a cache needs at least one offset or index bit".to_owned());
+        }
         Ok(())
     }
-}
-
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
-    /// LRU stamp; larger = more recently used.
-    stamp: u64,
 }
 
 /// Outcome of a cache access.
@@ -147,6 +142,11 @@ pub struct SavedCache {
 
 /// A physically indexed, physically tagged cache tag store.
 ///
+/// Lines are kept struct-of-arrays, row-major by set: a lookup compares
+/// one key word (`tag << 1 | valid`) per way over a contiguous run —
+/// 32 B for a 4-way set, 128 B for a 16-way one — and only a hit or a
+/// fill touches the stamp and dirty arrays.
+///
 /// # Examples
 ///
 /// ```
@@ -160,8 +160,15 @@ pub struct SavedCache {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    lines: Vec<Line>, // sets × ways, row-major by set
+    /// `tag << 1 | valid` per line. Invalidation clears only the valid
+    /// bit, so a stale tag survives into saved state.
+    keys: Vec<u64>,
+    /// LRU stamps; larger = more recently used.
+    stamps: Vec<u64>,
+    dirty: Vec<bool>,
+    ways: usize,
     set_mask: u64,
+    set_bits: u32,
     offset_bits: u32,
     tick: u64,
     stats: CacheStats,
@@ -177,10 +184,15 @@ impl Cache {
         cfg.validate()
             .unwrap_or_else(|e| panic!("invalid cache config: {e}"));
         let sets = cfg.sets();
+        let lines = (sets * u64::from(cfg.ways)) as usize;
         Cache {
             cfg,
-            lines: vec![Line::default(); (sets * u64::from(cfg.ways)) as usize],
+            keys: vec![0; lines],
+            stamps: vec![0; lines],
+            dirty: vec![false; lines],
+            ways: cfg.ways as usize,
             set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             offset_bits: cfg.line_bytes.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
@@ -206,13 +218,15 @@ impl Cache {
     pub fn save_state(&self) -> SavedCache {
         SavedCache {
             lines: self
-                .lines
+                .keys
                 .iter()
-                .map(|l| SavedLine {
-                    tag: l.tag,
-                    valid: l.valid,
-                    dirty: l.dirty,
-                    stamp: l.stamp,
+                .zip(&self.stamps)
+                .zip(&self.dirty)
+                .map(|((&key, &stamp), &dirty)| SavedLine {
+                    tag: key >> 1,
+                    valid: key & 1 != 0,
+                    dirty,
+                    stamp,
                 })
                 .collect(),
             tick: self.tick,
@@ -223,20 +237,20 @@ impl Cache {
     /// Reinstates state captured by [`Cache::save_state`] into a cache of
     /// the same shape.
     pub fn restore_state(&mut self, saved: &SavedCache) -> Result<(), String> {
-        if saved.lines.len() != self.lines.len() {
+        if saved.lines.len() != self.keys.len() {
             return Err(format!(
                 "cache line count mismatch: saved {}, expected {}",
                 saved.lines.len(),
-                self.lines.len()
+                self.keys.len()
             ));
         }
-        for (dst, src) in self.lines.iter_mut().zip(&saved.lines) {
-            *dst = Line {
-                tag: src.tag,
-                valid: src.valid,
-                dirty: src.dirty,
-                stamp: src.stamp,
-            };
+        if let Some(l) = saved.lines.iter().find(|l| l.tag >> 63 != 0) {
+            return Err(format!("cache tag {:#x} is wider than 63 bits", l.tag));
+        }
+        for (i, src) in saved.lines.iter().enumerate() {
+            self.keys[i] = src.tag << 1 | u64::from(src.valid);
+            self.stamps[i] = src.stamp;
+            self.dirty[i] = src.dirty;
         }
         self.tick = saved.tick;
         self.stats = saved.stats;
@@ -254,12 +268,8 @@ impl Cache {
     /// with [`Cache::touch`] for memoized repeat hits.
     #[inline]
     pub fn locate(&self, addr: u64) -> Option<usize> {
-        let (set, tag) = self.index(addr);
-        let base = set * self.cfg.ways as usize;
-        self.lines[base..base + self.cfg.ways as usize]
-            .iter()
-            .position(|l| l.valid && l.tag == tag)
-            .map(|way| base + way)
+        let (set, key) = self.index(addr);
+        self.find(set, key)
     }
 
     /// Replays exactly the hit half of [`Cache::access`] against a slot
@@ -271,10 +281,9 @@ impl Cache {
     #[inline]
     pub fn touch(&mut self, slot: usize, write: bool) {
         self.tick += 1;
-        let line = &mut self.lines[slot];
-        debug_assert!(line.valid, "touch on an invalid slot");
-        line.stamp = self.tick;
-        line.dirty |= write;
+        debug_assert!(self.keys[slot] & 1 != 0, "touch on an invalid slot");
+        self.stamps[slot] = self.tick;
+        self.dirty[slot] |= write;
         self.stats.hits += 1;
     }
 
@@ -283,78 +292,109 @@ impl Cache {
     #[inline]
     pub fn access(&mut self, addr: u64, write: bool) -> Lookup {
         self.tick += 1;
-        let (set, tag) = self.index(addr);
-        let base = set * self.cfg.ways as usize;
-        let ways = &mut self.lines[base..base + self.cfg.ways as usize];
-
-        if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
-            line.stamp = self.tick;
-            line.dirty |= write;
+        let (set, key) = self.index(addr);
+        if let Some(slot) = self.find(set, key) {
+            self.stamps[slot] = self.tick;
+            self.dirty[slot] |= write;
             self.stats.hits += 1;
             return Lookup::Hit;
         }
+        self.fill(set, key, write)
+    }
 
+    /// The miss half of [`Cache::access`]: evicts the victim of `set`
+    /// and allocates `key` in its place. Kept out of line so the hit
+    /// path stays small enough to inline into its callers.
+    #[inline(never)]
+    fn fill(&mut self, set: usize, key: u64, write: bool) -> Lookup {
         self.stats.misses += 1;
-        // Victim: invalid way first, else LRU.
-        let victim = ways
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| if l.valid { l.stamp } else { 0 })
-            .map(|(i, _)| i)
-            .expect("ways is non-empty");
-        let old = ways[victim];
-        ways[victim] = Line {
-            tag,
-            valid: true,
-            dirty: write,
-            stamp: self.tick,
-        };
-        let writeback = if old.valid && old.dirty {
+        let slot = self.victim(set);
+        let old = self.keys[slot];
+        let writeback = if old & 1 != 0 && self.dirty[slot] {
             self.stats.writebacks += 1;
-            Some(self.rebuild_addr(old.tag, set as u64))
+            Some(self.rebuild_addr(old >> 1, set as u64))
         } else {
             None
         };
+        self.keys[slot] = key;
+        self.stamps[slot] = self.tick;
+        self.dirty[slot] = write;
         Lookup::Miss { writeback }
     }
 
     /// Whether `addr`'s line is resident (no LRU update, no allocation).
     pub fn probe(&self, addr: u64) -> bool {
-        let (set, tag) = self.index(addr);
-        let base = set * self.cfg.ways as usize;
-        self.lines[base..base + self.cfg.ways as usize]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.locate(addr).is_some()
     }
 
     /// Invalidates `addr`'s line if resident, returning its address if it
-    /// was dirty (back-invalidation from an inclusive outer level).
+    /// was dirty (back-invalidation from an inclusive outer level). Only
+    /// the valid bit is cleared: the stale tag and dirty bit stay.
     pub fn invalidate(&mut self, addr: u64) -> Option<u64> {
-        let (set, tag) = self.index(addr);
-        let base = set * self.cfg.ways as usize;
-        for l in &mut self.lines[base..base + self.cfg.ways as usize] {
-            if l.valid && l.tag == tag {
-                l.valid = false;
-                if l.dirty {
-                    return Some(self.rebuild_addr(tag, set as u64));
-                }
-                return None;
-            }
-        }
-        None
+        let (set, key) = self.index(addr);
+        let slot = self.find(set, key)?;
+        self.keys[slot] = key & !1;
+        self.dirty[slot].then(|| self.rebuild_addr(key >> 1, set as u64))
     }
 
+    /// Set index and valid key (`tag << 1 | 1`) of `addr`'s line.
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.offset_bits;
         (
             (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
+            (line >> self.set_bits) << 1 | 1,
         )
     }
 
+    /// Absolute slot of `set` whose key equals `key`. Compares every way
+    /// of a 64-way chunk into a bitmask before branching, so which way
+    /// hits costs no mispredicted early exit.
+    #[inline]
+    fn find(&self, set: usize, key: u64) -> Option<usize> {
+        let base = set * self.ways;
+        let mut chunk_base = base;
+        for chunk in self.keys[base..base + self.ways].chunks(64) {
+            let mut hits = 0u64;
+            for (way, &k) in chunk.iter().enumerate() {
+                hits |= u64::from(k == key) << way;
+            }
+            if hits != 0 {
+                return Some(chunk_base + hits.trailing_zeros() as usize);
+            }
+            chunk_base += 64;
+        }
+        None
+    }
+
+    /// Slot to fill in `set`: the lowest way of least rank, where an
+    /// invalid way ranks 0 and a valid one its stamp — so the first
+    /// invalid way, else the least recently used one.
+    #[inline]
+    fn victim(&self, set: usize) -> usize {
+        let base = set * self.ways;
+        let rank = |slot: usize| {
+            if self.keys[slot] & 1 == 0 {
+                0
+            } else {
+                self.stamps[slot]
+            }
+        };
+        let (mut best, mut best_rank) = (base, rank(base));
+        for slot in base + 1..base + self.ways {
+            if best_rank == 0 {
+                break;
+            }
+            let r = rank(slot);
+            if r < best_rank {
+                (best, best_rank) = (slot, r);
+            }
+        }
+        best
+    }
+
     fn rebuild_addr(&self, tag: u64, set: u64) -> u64 {
-        ((tag << self.set_mask.count_ones()) | set) << self.offset_bits
+        ((tag << self.set_bits) | set) << self.offset_bits
     }
 }
 
@@ -382,6 +422,13 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = CacheConfig::l1_32k();
         c.size_bytes = 33 * 1024 + 7;
+        assert!(c.validate().is_err());
+        // One-byte lines in one set: the tag would need all 64 bits.
+        let c = CacheConfig {
+            size_bytes: 4,
+            ways: 4,
+            line_bytes: 1,
+        };
         assert!(c.validate().is_err());
     }
 
@@ -467,6 +514,17 @@ mod tests {
             }
         }
         assert_eq!(wb, Some(addr));
+    }
+
+    #[test]
+    fn restore_rejects_a_tag_without_room_for_the_valid_bit() {
+        let mut c = Cache::new(CacheConfig::l1_32k());
+        let mut saved = c.save_state();
+        saved.lines[3].tag = 1 << 63;
+        assert!(c.restore_state(&saved).unwrap_err().contains("63 bits"));
+        saved.lines[3].tag = u64::MAX >> 1;
+        assert!(c.restore_state(&saved).is_ok());
+        assert_eq!(c.save_state(), saved);
     }
 
     #[test]

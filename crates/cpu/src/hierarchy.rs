@@ -34,10 +34,16 @@ pub struct HierStats {
 
 /// A private L1+L2 stack for one core.
 ///
-/// The L2 is *mostly inclusive* the way real private stacks are: a fill
-/// allocates in both levels; an L2 eviction back-invalidates the L1 so a
-/// dirty L1 copy is not silently lost (its data is merged into the
-/// outgoing writeback).
+/// A fill allocates in both levels, but the stack is neither strictly
+/// inclusive nor lossless for stores. Two known modelling gaps (listed
+/// in DESIGN.md §5):
+///
+/// - Only a *dirty* L2 victim back-invalidates its L1 copy, whose data
+///   rides out with that victim's writeback. A clean L2 victim leaves
+///   its L1 copy resident.
+/// - L1 victims are dropped, dirty or not; nothing writes them into the
+///   L2. A store that hits a line the L2 holds clean dirties only the L1
+///   copy, so that store never reaches DRAM.
 ///
 /// # Examples
 ///
@@ -87,8 +93,8 @@ impl CacheHierarchy {
         if self.l1.access(paddr, write).is_hit() {
             return HierOutcome::L1Hit;
         }
-        // L1 victim writebacks land in the L2 (allocate-on-writeback is
-        // implicit: private L2 is filled on every L1 fill anyway).
+        // The L1 victim, if any, is dropped here even when dirty (see the
+        // type-level doc).
         match self.l2.access(paddr, write) {
             Lookup::Hit => HierOutcome::L2Hit,
             Lookup::Miss { writeback } => {
@@ -110,9 +116,9 @@ impl CacheHierarchy {
     }
 
     /// Bit-identical twin of [`CacheHierarchy::access`] for the batched
-    /// core loop: consecutive hits to one L1 line — the dominant case in
-    /// hot-region-resident phases — skip the tag walk and replay the hit
-    /// bookkeeping via [`Cache::touch`]. Every other outcome falls back
+    /// core loop: consecutive accesses to one L1 line — the dominant case
+    /// in sequential phases — skip the tag walk and replay the hit
+    /// bookkeeping via [`Cache::touch`]. Every other access falls back
     /// to the full lookup and re-arms the memo, so counters, LRU order
     /// and dirty bits evolve exactly as under `access`.
     #[inline]
@@ -125,17 +131,13 @@ impl CacheHierarchy {
             }
         }
         let out = self.access(paddr, write);
-        // `access` allocates on every path, so the line is L1-resident
-        // now regardless of outcome; memoize only clean L1 hits — after
-        // an allocation the interesting next access is a different line
-        // anyway, and keeping the arm condition narrow keeps it obvious
-        // that a memoized slot was produced by an eviction-free lookup.
-        if matches!(out, HierOutcome::L1Hit) {
-            self.hot = self
-                .l1
-                .locate(paddr)
-                .map(|slot| (self.l1.line_addr(paddr), slot));
-        }
+        // `access` leaves the line L1-resident on every path: a miss
+        // allocates it, and the back-invalidation that may follow only
+        // removes the L2 victim, a different line.
+        self.hot = self
+            .l1
+            .locate(paddr)
+            .map(|slot| (self.l1.line_addr(paddr), slot));
         out
     }
 
@@ -256,6 +258,29 @@ mod tests {
         // And the L1 copy is gone too (inclusive-ish behavior).
         assert!(matches!(h.access(0, false), HierOutcome::Miss { .. }));
         assert_eq!(h.stats().writebacks, 1);
+    }
+
+    /// The known store-loss gap in the type-level doc, pinned so that
+    /// closing it is a deliberate change: a store that hits a line the L2
+    /// holds clean is gone once the line leaves both levels.
+    #[test]
+    fn store_hitting_clean_l2_line_never_reaches_dram() {
+        let mut h = CacheHierarchy::table1();
+        h.access(0, false);
+        assert_eq!(h.access(0, true), HierOutcome::L1Hit);
+        // 64 KiB apart: L1 set 0 and L2 set 0 both, so line 0 leaves the
+        // L1 after 4 fills and the L2 after 16.
+        for i in 1..=16u64 {
+            assert!(matches!(
+                h.access(i * 1024 * 64, false),
+                HierOutcome::Miss {
+                    writeback: None,
+                    ..
+                }
+            ));
+        }
+        assert_eq!(h.stats().writebacks, 0);
+        assert!(matches!(h.access(0, false), HierOutcome::Miss { .. }));
     }
 
     #[test]
