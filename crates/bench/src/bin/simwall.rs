@@ -30,18 +30,9 @@
 //!   on any violation;
 //! * `--check` — exit non-zero unless event-skip wins ≥ 3× on the
 //!   reference scenario and is no slower than fixed-step (to timing
-//!   jitter) everywhere else; additionally enforces the batched
-//!   tick-path floors (≥ 2× over the scalar reference walk on the
-//!   compute-bound scenarios); with `--threads`, also enforces the
+//!   jitter) everywhere else; with `--threads`, also enforces the
 //!   ≥ 1.7× sweep-scaling floor at 4 workers when the host has that
 //!   many cores (the JSON records the measured host class either way).
-//!
-//! Besides the engine table, every run times each scenario on both
-//! tick paths (`TickPath::Batched` vs `TickPath::ScalarReference`) and
-//! appends a `"hotpath"` block to the artifact: scalar/batched medians,
-//! their ratio, and `ns_per_command` — wall nanoseconds per retired
-//! DRAM command on the batched path, the profile-stable unit cost that
-//! flamegraph diffs are normalized against (see `scripts/profile.sh`).
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -51,7 +42,6 @@ use refsim_core::executor::{ExecutorOptions, WorkerFaultPlan};
 use refsim_core::experiment::Job;
 use refsim_core::prelude::*;
 use refsim_core::sweep::{run_many_resilient, SweepOptions, SweepReport};
-use refsim_dram::backend::TickPath;
 use refsim_dram::refresh::RefreshPolicyKind;
 use refsim_dram::time::Ps;
 use refsim_dram::timing::{FgrMode, Retention};
@@ -66,27 +56,6 @@ const FLOOR_THREADS: usize = 4;
 
 /// Minimum sweep speedup at [`FLOOR_THREADS`] workers under `--check`.
 const SCALING_FLOOR: f64 = 1.7;
-
-/// Minimum batched-over-scalar tick-path speedup on the compute-bound
-/// scenarios under `--check`. These are the rows where the hot loop
-/// (core issue path + channel tick) is ~95 % of wall time, so the SoA
-/// batching must show up here or it is not real.
-const HOTPATH_FLOOR: f64 = 2.0;
-
-/// Shard-thread count the intra-run sharding floor applies to (one
-/// worker per channel of [`SHARD_CHANNELS`]).
-const SHARD_FLOOR_THREADS: u32 = 4;
-
-/// Minimum sharded-over-serial speedup at [`SHARD_FLOOR_THREADS`]
-/// workers under `--check` (hosts with at least that many cores).
-const SHARD_FLOOR: f64 = 1.5;
-
-/// Channels in the sharding scenario — wide enough that per-channel
-/// ticking dominates the step loop and the parallel win is honest.
-const SHARD_CHANNELS: u32 = 4;
-
-/// Scenarios the [`HOTPATH_FLOOR`] applies to.
-const HOTPATH_FLOORED: [&str; 2] = ["compute_heavy", "mixed"];
 
 /// One DDR3-1600 command clock — the finest pitch at which the
 /// controller can schedule distinct commands, i.e. command-level
@@ -177,73 +146,6 @@ struct EngineResult {
     wall_s: f64,
     sim_ps_per_s: f64,
     iterations: u64,
-}
-
-/// One scenario's tick-path comparison: median walls on the scalar
-/// reference walk and the batched SoA path, plus the batched path's
-/// per-command unit cost.
-struct HotpathRow {
-    name: &'static str,
-    scalar_wall: f64,
-    batched_wall: f64,
-    /// Scalar wall over batched wall (higher = batching wins).
-    ratio: f64,
-    /// Retired DRAM commands over the span (channel 0 == the machine;
-    /// the scenario matrix is single-channel).
-    commands: u64,
-    /// Batched wall nanoseconds per retired DRAM command.
-    ns_per_command: f64,
-}
-
-/// One timed run returning wall seconds and the retired DRAM command
-/// count (the `ns_per_command` denominator).
-fn time_commands_run(cfg: &SystemConfig, mix: &WorkloadMix, span: Ps) -> (f64, u64) {
-    let mut sys = System::try_new(cfg.clone(), mix).expect("scenario must build");
-    let t0 = Instant::now();
-    sys.try_run_until(span).expect("scenario must run clean");
-    let wall = t0.elapsed().as_secs_f64();
-    let commands = sys.collect().controller.commands_total();
-    (wall, commands)
-}
-
-/// Times one scenario on both tick paths (fixed-step engine: the
-/// regime where the per-op hot loop dominates) and returns the medians.
-fn bench_hotpath(base: &SystemConfig, sc: &Scenario, span: Ps, reps: u32) -> HotpathRow {
-    let mut cfg = base
-        .clone()
-        .with_refresh(sc.policy)
-        .with_step(sc.step)
-        .with_engine(EngineKind::FixedStep);
-    cfg.retention = sc.retention;
-    let median = |cfg: &SystemConfig| -> (f64, u64) {
-        let _ = time_commands_run(cfg, &sc.mix, span); // untimed warmup
-        let mut commands = 0;
-        let mut samples: Vec<f64> = (0..reps.max(1))
-            .map(|_| {
-                let (w, c) = time_commands_run(cfg, &sc.mix, span);
-                commands = c;
-                w
-            })
-            .collect();
-        samples.sort_by(f64::total_cmp);
-        (samples[samples.len() / 2], commands)
-    };
-    let (scalar_wall, scalar_commands) =
-        median(&cfg.clone().with_tick_path(TickPath::ScalarReference));
-    let (batched_wall, commands) = median(&cfg.clone().with_tick_path(TickPath::Batched));
-    assert_eq!(
-        scalar_commands, commands,
-        "{}: tick paths disagreed on retired commands — equivalence bug",
-        sc.name
-    );
-    HotpathRow {
-        name: sc.name,
-        scalar_wall,
-        batched_wall,
-        ratio: scalar_wall / batched_wall,
-        commands,
-        ns_per_command: batched_wall * 1e9 / commands.max(1) as f64,
-    }
 }
 
 fn bench_engine(
@@ -360,77 +262,6 @@ fn measure_scaling_row(jobs: &[Job], threads: usize, reps: u32) -> ScalingRow {
     }
 }
 
-/// The intra-run sharding scenario: a [`SHARD_CHANNELS`]-channel
-/// machine at the default 250 ns pitch on a hot device, streaming on
-/// every core. The pitch matters: each step hands the channels one
-/// batch of ~µs-scale controller work, so the per-step worker handoff
-/// (one atomic release + spin acquire) amortizes to noise and
-/// `ShardMode::Channel` can approach one-worker-per-channel scaling.
-/// (At DRAM-clock pitch the per-step channel work is smaller than the
-/// handoff itself and sharding can only lose — that regime stays on
-/// the serial walk.) The serial walk over the same config is the
-/// baseline every sharded row must beat *and* bit-match.
-fn shard_scenario(scale: u32) -> (SystemConfig, WorkloadMix) {
-    let mut cfg = SystemConfig::table1()
-        .with_time_scale(scale)
-        .with_channels(SHARD_CHANNELS)
-        .with_refresh(RefreshPolicyKind::AllBank)
-        .with_step(DEFAULT_STEP)
-        .with_engine(EngineKind::FixedStep);
-    cfg.retention = Retention::Ms32;
-    let mix = WorkloadMix::from_groups("shard-stall", &[(Benchmark::Stream, 4)], "H");
-    (cfg, mix)
-}
-
-/// One timed run of the sharding scenario: wall seconds plus the
-/// collected metrics' Debug string, so every worker count can be
-/// checked bit-identical against the serial baseline.
-fn time_shard_run(cfg: &SystemConfig, mix: &WorkloadMix, span: Ps) -> (f64, String) {
-    let mut sys = System::try_new(cfg.clone(), mix).expect("shard scenario must build");
-    let t0 = Instant::now();
-    sys.try_run_until(span)
-        .expect("shard scenario must run clean");
-    let wall = t0.elapsed().as_secs_f64();
-    (wall, format!("{:?}", sys.collect()))
-}
-
-/// A measured sharding row. `threads == 1` is the serial walk
-/// (`ShardMode::Serial`, the correctness anchor); other counts run
-/// `ShardMode::Channel` with that explicit worker budget.
-struct ShardRow {
-    threads: u32,
-    wall_s: f64,
-    result: String,
-}
-
-fn measure_shard_row(
-    base: &SystemConfig,
-    mix: &WorkloadMix,
-    span: Ps,
-    threads: u32,
-    reps: u32,
-) -> ShardRow {
-    let cfg = if threads <= 1 {
-        base.clone()
-    } else {
-        base.clone().with_shard_threads(threads)
-    };
-    let (_, mut result) = time_shard_run(&cfg, mix, span); // untimed warmup
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let (w, r) = time_shard_run(&cfg, mix, span);
-            result = r;
-            w
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    ShardRow {
-        threads,
-        wall_s: samples[samples.len() / 2],
-        result,
-    }
-}
-
 /// The `--chaos` smoke: runs the sweep matrix clean on one worker, then
 /// on four workers with one seeded hung worker (reclaimed twice by the
 /// supervisor) and one slow worker, and verifies containment — every
@@ -492,8 +323,6 @@ fn main() {
     let mut out = String::from("BENCH_simwall.json");
     let mut check = false;
     let mut threads_list: Vec<usize> = Vec::new();
-    // Serial anchor plus one-worker-per-two-channels and one-per-channel.
-    let mut shard_threads_list: Vec<u32> = vec![1, 2, SHARD_FLOOR_THREADS];
     let mut chaos = false;
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -525,28 +354,12 @@ fn main() {
                     })
                     .collect();
             }
-            "--shard-threads" => {
-                let v = it
-                    .next()
-                    .expect("--shard-threads needs a comma list, e.g. 1,2,4");
-                shard_threads_list = v
-                    .split(',')
-                    .map(|t| {
-                        let n: u32 = t
-                            .trim()
-                            .parse()
-                            .expect("--shard-threads takes positive integers");
-                        assert!(n > 0, "--shard-threads entries must be positive");
-                        n
-                    })
-                    .collect();
-            }
             "--chaos" => chaos = true,
             "--check" => check = true,
             "--help" | "-h" => {
                 eprintln!(
                     "flags: [--quick] [--scale N] [--reps N] [--out PATH] \
-                     [--threads LIST] [--shard-threads LIST] [--chaos] [--check]"
+                     [--threads LIST] [--chaos] [--check]"
                 );
                 return;
             }
@@ -644,58 +457,6 @@ fn main() {
         }
     }
 
-    // ---- tick-path hot-loop comparison -------------------------------
-    println!(
-        "\nhotpath: scalar reference walk vs batched SoA tick \
-         (fixed-step engine, median of {reps} rep(s))"
-    );
-    println!(
-        "{:<18} {:>12} {:>12} {:>8} {:>12} {:>10}",
-        "scenario", "scalar (s)", "batched (s)", "ratio", "commands", "ns/cmd"
-    );
-    let print_hotpath = |row: &HotpathRow| {
-        println!(
-            "{:<18} {:>12.3} {:>12.3} {:>7.2}x {:>12} {:>10.2}",
-            row.name,
-            row.scalar_wall,
-            row.batched_wall,
-            row.ratio,
-            row.commands,
-            row.ns_per_command
-        );
-    };
-    let mut hotpath_rows: Vec<HotpathRow> = Vec::new();
-    for sc in &scenarios {
-        let row = bench_hotpath(&base, sc, span, reps);
-        print_hotpath(&row);
-        hotpath_rows.push(row);
-    }
-    if check {
-        // Same interference policy as the engine floors.
-        for (i, sc) in scenarios.iter().enumerate() {
-            if !HOTPATH_FLOORED.contains(&sc.name) {
-                continue;
-            }
-            for attempt in 0..2 {
-                if hotpath_rows[i].ratio >= HOTPATH_FLOOR {
-                    break;
-                }
-                eprintln!(
-                    "note: {} hotpath ratio {:.2}x below {HOTPATH_FLOOR:.2}x floor; \
-                     re-measuring ({}/2)",
-                    sc.name,
-                    hotpath_rows[i].ratio,
-                    attempt + 1
-                );
-                let again = bench_hotpath(&base, sc, span, reps);
-                print_hotpath(&again);
-                if again.ratio > hotpath_rows[i].ratio {
-                    hotpath_rows[i] = again;
-                }
-            }
-        }
-    }
-
     // ---- sweep scaling matrix (--threads) ----------------------------
     let mut scaling_rows: Vec<ScalingRow> = Vec::new();
     let mut scaling_jobs_len = 0;
@@ -767,81 +528,7 @@ fn main() {
         }
     }
 
-    // ---- intra-run channel sharding ----------------------------------
     let host_cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    let (shard_cfg, shard_mix) = shard_scenario(scale);
-    // Same four-window span as the engine matrix: long enough that
-    // host jitter is a few percent of each measurement.
-    let shard_span = shard_cfg.trefw() * 4;
-    println!(
-        "\nsharding: {SHARD_CHANNELS}-channel stall-heavy at {:.0} ns pitch, \
-         serial walk vs ShardMode::Channel, median of {reps} rep(s)",
-        shard_cfg.step.as_ps() as f64 / 1000.0
-    );
-    println!("{:<8} {:>10} {:>9}", "threads", "wall (s)", "speedup");
-    let mut shard_rows: Vec<ShardRow> = Vec::new();
-    for &t in &shard_threads_list {
-        shard_rows.push(measure_shard_row(
-            &shard_cfg, &shard_mix, shard_span, t, reps,
-        ));
-    }
-    let shard_baseline_idx = (0..shard_rows.len())
-        .min_by_key(|&i| shard_rows[i].threads)
-        .expect("non-empty");
-    // The sharded walk must assemble the *same machine* as the serial
-    // walk at every worker count; a divergence is a determinism bug,
-    // not jitter, so it fails unconditionally.
-    for row in &shard_rows {
-        assert_eq!(
-            row.result, shard_rows[shard_baseline_idx].result,
-            "sharded run diverged from the serial walk at {} shard thread(s)",
-            row.threads
-        );
-    }
-    if check {
-        // Same interference policy as every other floor: re-measure a
-        // failing floor row up to twice, keep the best wall. The floor
-        // only applies on hosts with enough cores to park one worker
-        // per channel.
-        for i in 0..shard_rows.len() {
-            if shard_rows[i].threads != SHARD_FLOOR_THREADS
-                || host_cores < SHARD_FLOOR_THREADS as usize
-            {
-                continue;
-            }
-            for attempt in 0..2 {
-                let speedup = shard_rows[shard_baseline_idx].wall_s / shard_rows[i].wall_s;
-                if speedup >= SHARD_FLOOR {
-                    break;
-                }
-                eprintln!(
-                    "note: {SHARD_FLOOR_THREADS}-thread shard speedup {speedup:.2}x below \
-                     {SHARD_FLOOR:.2}x floor; re-measuring ({}/2)",
-                    attempt + 1
-                );
-                let again = measure_shard_row(
-                    &shard_cfg,
-                    &shard_mix,
-                    shard_span,
-                    SHARD_FLOOR_THREADS,
-                    reps,
-                );
-                if again.wall_s < shard_rows[i].wall_s {
-                    shard_rows[i] = again;
-                }
-            }
-        }
-    }
-    let shard_baseline_wall = shard_rows[shard_baseline_idx].wall_s;
-    for row in &shard_rows {
-        println!(
-            "{:<8} {:>10.3} {:>8.2}x",
-            row.threads,
-            row.wall_s,
-            shard_baseline_wall / row.wall_s
-        );
-    }
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"simwall\",");
@@ -849,6 +536,7 @@ fn main() {
     let _ = writeln!(json, "  \"span_ps\": {},", span.as_ps());
     let _ = writeln!(json, "  \"reps\": {reps},");
     let _ = writeln!(json, "  \"reference\": \"{REFERENCE}\",");
+    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
     let _ = writeln!(json, "  \"scenarios\": [");
     for (i, (name, step, sc_span, fixed, skip, speedup)) in rows.iter().enumerate() {
         let comma = if i + 1 < rows.len() { "," } else { "" };
@@ -866,36 +554,11 @@ fn main() {
             skip.sim_ps_per_s
         );
     }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"hotpath\": {{");
-    let _ = writeln!(json, "    \"reps\": {reps},");
-    let _ = writeln!(json, "    \"floor\": {HOTPATH_FLOOR},");
     let _ = writeln!(
         json,
-        "    \"floored_scenarios\": [{}],",
-        HOTPATH_FLOORED
-            .iter()
-            .map(|n| format!("\"{n}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
+        "  ]{}",
+        if scaling_rows.is_empty() { "" } else { "," }
     );
-    let _ = writeln!(json, "    \"rows\": [");
-    for (i, row) in hotpath_rows.iter().enumerate() {
-        let comma = if i + 1 < hotpath_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"name\": \"{}\", \"scalar_wall_s\": {:.6}, \"batched_wall_s\": {:.6}, \
-             \"ratio\": {:.4}, \"commands\": {}, \"ns_per_command\": {:.2}}}{comma}",
-            row.name,
-            row.scalar_wall,
-            row.batched_wall,
-            row.ratio,
-            row.commands,
-            row.ns_per_command
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }},");
     if !scaling_rows.is_empty() {
         let baseline_wall = scaling_rows
             .iter()
@@ -908,9 +571,8 @@ fn main() {
         let _ = writeln!(json, "    \"floor_threads\": {FLOOR_THREADS},");
         let _ = writeln!(json, "    \"floor\": {SCALING_FLOOR},");
         // The floor is calibrated against a host class, not wished onto
-        // whatever machine happens to run CI: record the measured core
-        // count, and say outright when the floor cannot apply here.
-        let _ = writeln!(json, "    \"host_cores\": {host_cores},");
+        // whatever machine happens to run CI: say outright when the
+        // floor cannot apply here.
         let _ = writeln!(
             json,
             "    \"floor_skipped\": {},",
@@ -938,42 +600,8 @@ fn main() {
             );
         }
         let _ = writeln!(json, "    ]");
-        let _ = writeln!(json, "  }},");
+        let _ = writeln!(json, "  }}");
     }
-    let _ = writeln!(json, "  \"sharding\": {{");
-    let _ = writeln!(json, "    \"channels\": {SHARD_CHANNELS},");
-    let _ = writeln!(json, "    \"span_ps\": {},", shard_span.as_ps());
-    let _ = writeln!(json, "    \"reps\": {reps},");
-    let _ = writeln!(json, "    \"floor_threads\": {SHARD_FLOOR_THREADS},");
-    let _ = writeln!(json, "    \"floor\": {SHARD_FLOOR},");
-    // Same host-class honesty as the scaling block: record the core
-    // count and say outright when the floor cannot apply here.
-    let _ = writeln!(json, "    \"host_cores\": {host_cores},");
-    let _ = writeln!(
-        json,
-        "    \"floor_skipped\": {},",
-        host_cores < SHARD_FLOOR_THREADS as usize
-    );
-    if host_cores < SHARD_FLOOR_THREADS as usize {
-        let _ = writeln!(
-            json,
-            "    \"note\": \"host has {host_cores} core(s), below the \
-             {SHARD_FLOOR_THREADS}-thread floor class; speedups are recorded but not gated\","
-        );
-    }
-    let _ = writeln!(json, "    \"rows\": [");
-    for (i, row) in shard_rows.iter().enumerate() {
-        let comma = if i + 1 < shard_rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"threads\": {}, \"wall_s\": {:.6}, \"speedup\": {:.4}}}{comma}",
-            row.threads,
-            row.wall_s,
-            shard_baseline_wall / row.wall_s
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     // Atomic publish so a concurrent reader (or a crash mid-write)
     // never observes a truncated artifact.
@@ -994,19 +622,6 @@ fn main() {
             let floor = floor_of(name);
             if *speedup < floor {
                 eprintln!("FAIL: {name} speedup {speedup:.2}x is below the {floor:.2}x floor");
-                failed = true;
-            }
-        }
-        for row in &hotpath_rows {
-            if !HOTPATH_FLOORED.contains(&row.name) {
-                continue;
-            }
-            if row.ratio < HOTPATH_FLOOR {
-                eprintln!(
-                    "FAIL: {} batched tick path is only {:.2}x over the scalar \
-                     reference, below the {HOTPATH_FLOOR:.2}x floor",
-                    row.name, row.ratio
-                );
                 failed = true;
             }
         }
@@ -1036,31 +651,9 @@ fn main() {
                 }
             }
         }
-        for row in &shard_rows {
-            if row.threads != SHARD_FLOOR_THREADS {
-                continue;
-            }
-            let speedup = shard_baseline_wall / row.wall_s;
-            if host_cores < SHARD_FLOOR_THREADS as usize {
-                eprintln!(
-                    "note: host has {host_cores} core(s); skipping the \
-                     {SHARD_FLOOR_THREADS}-thread {SHARD_FLOOR:.2}x sharding floor"
-                );
-            } else if speedup < SHARD_FLOOR {
-                eprintln!(
-                    "FAIL: sharded speedup {speedup:.2}x at {SHARD_FLOOR_THREADS} threads is \
-                     below the {SHARD_FLOOR:.2}x floor"
-                );
-                failed = true;
-            }
-        }
         if failed {
             std::process::exit(1);
         }
-        println!(
-            "check passed: event-skip >=3x on {REFERENCE}, no slower elsewhere; \
-             batched tick >= {HOTPATH_FLOOR}x on {HOTPATH_FLOORED:?}; \
-             sharded walk bit-identical to serial"
-        );
+        println!("check passed: event-skip >=3x on {REFERENCE}, no slower elsewhere");
     }
 }

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use refsim_cpu::core::CoreConfig;
-use refsim_dram::backend::{BackendKind, TickPath};
+use refsim_dram::backend::BackendKind;
 use refsim_dram::controller::ControllerConfig;
 use refsim_dram::geometry::Geometry;
 use refsim_dram::mapping::MappingScheme;
@@ -51,28 +51,6 @@ pub enum EngineKind {
     /// change system state.
     #[default]
     EventSkip,
-}
-
-/// How the per-channel memory backends are ticked inside one run (see
-/// DESIGN.md "Intra-run channel sharding").
-///
-/// Channels are independent between enqueue points — a channel's
-/// advance never reads core, scheduler, or sibling-channel state — so
-/// a span's per-channel ticks commute. `Channel` exploits that by
-/// fanning the per-step channel advances out over a scoped worker pool
-/// while completions, traces, and stats are still merged in strict
-/// channel order; results are bit-identical to `Serial` at any thread
-/// count (pinned by the engine-equivalence suite). `Serial` is kept as
-/// the correctness anchor, mirroring `TickPath::ScalarReference`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ShardMode {
-    /// Walk channels one after another on the calling thread.
-    #[default]
-    Serial,
-    /// Tick channels in parallel, one shard per channel, merged in
-    /// channel order. Falls back to the serial walk when the effective
-    /// worker count (or the channel count) is 1.
-    Channel,
 }
 
 /// Full system configuration.
@@ -163,29 +141,6 @@ pub struct SystemConfig {
     /// negative control; runs with it set are never cached.
     #[serde(default)]
     pub shadow: ShadowConfig,
-    /// Hot-path implementation selector (see
-    /// [`refsim_dram::backend::TickPath`]). `Batched` — the
-    /// struct-of-arrays lane scan plus the batched core loop — by
-    /// default; `ScalarReference` preserves the pre-SoA walk verbatim as
-    /// a differential anchor. Both are bit-identical (proven by the
-    /// lane-equivalence suite), but the run cache still salts its
-    /// fingerprint with this knob so the paths never serve each other's
-    /// artifacts.
-    #[serde(default)]
-    pub tick_path: TickPath,
-    /// Intra-run channel-shard mode (see [`ShardMode`]). `Serial` by
-    /// default. The run cache salts its fingerprint with the mode (the
-    /// `TickPath` convention) but *not* with the thread count, because
-    /// sharded results are bit-identical at any thread count.
-    #[serde(default)]
-    pub shard: ShardMode,
-    /// Worker-thread budget for [`ShardMode::Channel`]; `None` shares
-    /// the sweep executor's budget (`REFSIM_THREADS`, else the host's
-    /// available parallelism). The effective shard count is additionally
-    /// capped at the channel count. Has no effect under
-    /// [`ShardMode::Serial`].
-    #[serde(default)]
-    pub shard_threads: Option<u32>,
 }
 
 impl SystemConfig {
@@ -221,9 +176,6 @@ impl SystemConfig {
             debug_skip_overshoot: Ps::ZERO,
             backend: BackendKind::Primary,
             shadow: ShadowConfig::default(),
-            tick_path: TickPath::Batched,
-            shard: ShardMode::Serial,
-            shard_threads: None,
         }
     }
 
@@ -295,20 +247,6 @@ impl SystemConfig {
         self
     }
 
-    /// Sets the intra-run channel-shard mode (see [`ShardMode`]).
-    pub fn with_shard(mut self, mode: ShardMode) -> Self {
-        self.shard = mode;
-        self
-    }
-
-    /// Selects [`ShardMode::Channel`] with an explicit worker-thread
-    /// budget (see [`SystemConfig::shard_threads`]).
-    pub fn with_shard_threads(mut self, threads: u32) -> Self {
-        self.shard = ShardMode::Channel;
-        self.shard_threads = Some(threads);
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -363,13 +301,6 @@ impl SystemConfig {
     /// [`SystemConfig::backend`]).
     pub fn with_backend(mut self, backend: BackendKind) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Selects the hot-path implementation (see
-    /// [`SystemConfig::tick_path`]).
-    pub fn with_tick_path(mut self, path: TickPath) -> Self {
-        self.tick_path = path;
         self
     }
 
@@ -472,9 +403,6 @@ impl SystemConfig {
         }
         if self.step == Ps::ZERO {
             return bad("advancement step must be positive".to_owned());
-        }
-        if self.shard_threads == Some(0) {
-            return bad("shard_threads must be >= 1 when set".to_owned());
         }
         if self.effective_timeslice() == Ps::ZERO {
             return bad("timeslice must be positive".to_owned());
@@ -601,15 +529,6 @@ mod tests {
         // 8 channels × 1 rank × 8 banks = 64 fits exactly.
         let c = SystemConfig::table1().with_channels(8).with_ranks(1);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn validate_rejects_zero_shard_threads() {
-        let mut c = SystemConfig::table1().with_shard_threads(1);
-        assert!(c.validate().is_ok());
-        c.shard_threads = Some(0);
-        let e = c.validate().unwrap_err();
-        assert!(e.to_string().contains("shard_threads"), "{e}");
     }
 
     #[test]

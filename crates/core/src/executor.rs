@@ -985,17 +985,20 @@ mod tests {
 
     #[test]
     fn requeue_backoff_parks_the_item_not_the_worker() {
-        // One item retries with a long backoff; the healthy items fill
-        // the wait. Were the worker sleeping the backoff inline (the old
-        // sweep behavior), total wall would be ≥ backoff + total work.
+        // One item retries with a long backoff. Were the worker sleeping
+        // the backoff inline (the old sweep behavior), it would retry
+        // that item before claiming anything else; a parked item lets
+        // the healthy items run during the wait. Claim order shows which,
+        // whatever the host's timing.
         let items: Vec<ExecItem> = (0..5)
             .map(|id| ExecItem {
                 id,
                 estimate_nanos: None,
             })
             .collect();
-        let t0 = Instant::now();
+        let claims = Mutex::new(Vec::new());
         let stats = execute(&items, 1, &quick_opts(), |id, ctx| {
+            claims.lock().unwrap().push((id, ctx.epoch));
             if id == 0 && ctx.epoch == 0 {
                 return Verdict::Requeue {
                     backoff: Duration::from_millis(120),
@@ -1003,17 +1006,19 @@ mod tests {
                     cancelled: false,
                 };
             }
-            std::thread::sleep(Duration::from_millis(40));
             Verdict::Done { poisoned: false }
         });
-        let wall = t0.elapsed();
         assert_eq!(stats.requeues, 1);
         assert_eq!(stats.overflow_claims, 1);
-        // 5 × 40 ms of work alone covers the 120 ms backoff; inline
-        // sleeping would push past 320 ms. Generous margin for CI noise.
+        let claims = claims.into_inner().unwrap();
+        let requeued = claims
+            .iter()
+            .position(|&c| c == (0, 0))
+            .expect("first claim");
+        let retried = claims.iter().position(|&c| c == (0, 1)).expect("retry");
         assert!(
-            wall < Duration::from_millis(310),
-            "requeue backoff appears to have blocked the worker: {wall:?}"
+            claims[requeued + 1..retried].iter().any(|&(id, _)| id != 0),
+            "requeue backoff appears to have blocked the worker: {claims:?}"
         );
     }
 

@@ -54,7 +54,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use refsim_dram::backend::{BackendKind, TickPath};
+use refsim_dram::backend::BackendKind;
 use refsim_dram::refresh::RefreshPolicyKind;
 use refsim_dram::time::Ps;
 use refsim_dram::timing::{Density, FgrMode, Retention};
@@ -65,7 +65,7 @@ use refsim_workloads::mix::WorkloadMix;
 use refsim_dram::mapping::MappingScheme;
 
 use crate::codec::{self, CodecError, Dec, Enc, Snapshot};
-use crate::config::{EngineKind, ShardMode, SystemConfig};
+use crate::config::{EngineKind, SystemConfig};
 use crate::metrics::RunMetrics;
 use crate::sanitize::AuditLevel;
 use crate::vfs::{self, std_vfs, Vfs, VfsError, VfsErrorKind};
@@ -78,15 +78,10 @@ pub const CACHE_VERSION: u32 = 1;
 /// entry. Bump on any semantic change the config encoding cannot
 /// express (e.g. a simulator behavior fix): all prior entries read as
 /// misses. v2: the backend-selection and shadow-perturbation knobs
-/// joined the fingerprint preimage. v3: the tick-path knob (batched
-/// vs. scalar-reference channel ticking) joined the preimage — the
-/// paths are bit-identical by construction, but the fingerprint keeps
-/// them distinguishable so an equivalence regression can never alias
-/// cache entries across them. v4: the shard-mode knob joined the
-/// preimage under the same rule (the sharded walk is proven
-/// bit-identical to the serial one); the shard *thread budget* is
-/// deliberately excluded because results do not depend on it.
-pub const CACHE_SCHEMA: u32 = 4;
+/// joined the fingerprint preimage. v3: the tick-path knob joined the
+/// preimage. v4: the shard-mode knob joined the preimage. v5:
+/// tick-path and shard-mode knobs removed.
+pub const CACHE_SCHEMA: u32 = 5;
 
 /// Environment variable naming the shared cache directory.
 pub const CACHE_DIR_ENV: &str = "REFSIM_CACHE_DIR";
@@ -253,25 +248,6 @@ pub fn fingerprint_bytes(cfg: &SystemConfig, mix: &WorkloadMix) -> Vec<u8> {
         BackendKind::Shadow => 1,
     });
     e.put_u64(cfg.shadow.drop_refresh_every);
-    // Hot-path selector: the two paths are proven bit-identical, but a
-    // cached artifact still records which implementation produced it so
-    // a scalar-reference debug run can never serve (or be served by)
-    // batched results — same rule as `debug_skip_overshoot`.
-    e.put_u8(match cfg.tick_path {
-        TickPath::Batched => 0,
-        TickPath::ScalarReference => 1,
-    });
-    // Shard mode follows the same rule as `tick_path`: sharded and
-    // serial walks are bit-identical by construction, but a cached
-    // artifact records which walk produced it so an equivalence
-    // regression can never alias entries across them. The shard
-    // *thread budget* (`shard_threads` / REFSIM_THREADS) is
-    // deliberately excluded — results are identical at any worker
-    // count, so differently provisioned hosts share cache artifacts.
-    e.put_u8(match cfg.shard {
-        ShardMode::Serial => 0,
-        ShardMode::Channel => 1,
-    });
 
     // The mix: task list only. Benchmarks are encoded by name, which is
     // stable against enum reordering; the mix's display name and

@@ -91,164 +91,6 @@ fn engines_are_bit_identical_for_every_policy() {
     }
 }
 
-/// The batched tick path (SoA bank lanes + plan memo + fast core loop)
-/// is only allowed to be the default because it is bit-identical to the
-/// scalar reference walk: same `RunMetrics` and same final replay state
-/// hash for every refresh policy under *both* engines. Together with
-/// the engine equivalence above this pins the full 8-policy × 2-engine
-/// × 2-path matrix to a single behavior.
-#[test]
-fn tick_paths_are_bit_identical_for_every_policy_and_engine() {
-    use refsim_dram::backend::TickPath;
-    for policy in ALL_POLICIES {
-        for engine in [EngineKind::FixedStep, EngineKind::EventSkip] {
-            let base = quick(SystemConfig::table1())
-                .with_refresh(policy)
-                .with_engine(engine);
-            let mix = small_mix();
-
-            let (m_batch, h_batch) =
-                run_once(&base.clone().with_tick_path(TickPath::Batched), &mix);
-            let (m_scalar, h_scalar) = run_once(
-                &base.clone().with_tick_path(TickPath::ScalarReference),
-                &mix,
-            );
-            assert_eq!(
-                m_batch, m_scalar,
-                "RunMetrics diverged across tick paths under {policy:?}/{engine:?}"
-            );
-            assert_eq!(
-                h_batch.combined(),
-                h_scalar.combined(),
-                "replay hash diverged across tick paths under {policy:?}/{engine:?}: {:?}",
-                h_batch.first_diff(&h_scalar)
-            );
-        }
-    }
-    // A TLB-conflict mix: mcf's random pages and GemsFDTD's six streams
-    // keep evicting one another from the batched path's per-task TLB, so
-    // its fall-through walks run constantly. All-bank and the co-design
-    // only, to bound the runtime.
-    let mix = WorkloadMix::from_groups(
-        "tlb-conflict",
-        &[(Benchmark::Mcf, 2), (Benchmark::GemsFdtd, 2)],
-        "H + M",
-    );
-    for base in [
-        quick(SystemConfig::table1()).with_refresh(RefreshPolicyKind::AllBank),
-        quick(SystemConfig::table1()).co_design(),
-    ] {
-        for engine in [EngineKind::FixedStep, EngineKind::EventSkip] {
-            let base = base.clone().with_engine(engine);
-            let (m_batch, h_batch) =
-                run_once(&base.clone().with_tick_path(TickPath::Batched), &mix);
-            let (m_scalar, h_scalar) = run_once(
-                &base.clone().with_tick_path(TickPath::ScalarReference),
-                &mix,
-            );
-            let label = (base.refresh_policy, engine);
-            assert_eq!(
-                m_batch, m_scalar,
-                "TLB-conflict mix diverged under {label:?}"
-            );
-            assert_eq!(
-                h_batch.combined(),
-                h_scalar.combined(),
-                "TLB-conflict mix replay hash diverged under {label:?}: {:?}",
-                h_batch.first_diff(&h_scalar)
-            );
-        }
-    }
-}
-
-/// Intra-run channel sharding (`ShardMode::Channel`) is only allowed to
-/// exist because it is *bit-identical* to the serial channel walk at
-/// any worker count: same `RunMetrics`, same final replay state hash,
-/// for every refresh policy under both engines and both tick paths, at
-/// 1, 2, and 4 shard threads on a 2-channel machine. The serial walk
-/// (`ShardMode::Serial`, the default) is the correctness anchor — the
-/// same role `TickPath::ScalarReference` plays for the batched tick.
-#[test]
-fn sharded_walk_is_bit_identical_for_every_policy_engine_and_path() {
-    use refsim_dram::backend::TickPath;
-    for policy in ALL_POLICIES {
-        for engine in [EngineKind::FixedStep, EngineKind::EventSkip] {
-            for path in [TickPath::Batched, TickPath::ScalarReference] {
-                // Half the usual measurement window: this matrix is
-                // 8 × 2 × 2 × (1 + 3) = 128 full runs.
-                let mut base = quick(SystemConfig::table1())
-                    .with_channels(2)
-                    .with_refresh(policy)
-                    .with_engine(engine)
-                    .with_tick_path(path);
-                base.measure = Ps(base.measure.as_ps() / 2);
-                let mix = small_mix();
-
-                let (m_serial, h_serial) = run_once(&base, &mix);
-                for threads in [1u32, 2, 4] {
-                    let cfg = base.clone().with_shard_threads(threads);
-                    let (m, h) = run_once(&cfg, &mix);
-                    assert_eq!(
-                        m_serial, m,
-                        "RunMetrics diverged: sharded@{threads} vs serial \
-                         under {policy:?}/{engine:?}/{path:?}"
-                    );
-                    assert_eq!(
-                        h_serial.combined(),
-                        h.combined(),
-                        "replay hash diverged: sharded@{threads} vs serial \
-                         under {policy:?}/{engine:?}/{path:?}: {:?}",
-                        h_serial.first_diff(&h)
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Spot check at 4 channels with the full co-design active (sequential
-/// per-bank refresh + soft partitioning + refresh-aware scheduling):
-/// the generalized Algorithm 1/2/3 paths and the sharded walk agree
-/// with the serial walk on a wider machine, with workers both below
-/// and at the channel count.
-#[test]
-fn four_channel_co_design_shards_bit_identically() {
-    use refsim_core::config::ShardMode;
-    for engine in [EngineKind::FixedStep, EngineKind::EventSkip] {
-        let base = quick(SystemConfig::table1().co_design())
-            .with_channels(4)
-            .with_engine(engine);
-        let mix = small_mix();
-
-        let (m_serial, h_serial) = run_once(&base, &mix);
-        assert!(
-            m_serial.controller.reads_completed > 0,
-            "the 4-channel run must actually exercise the memory system"
-        );
-        for threads in [2u32, 4] {
-            let cfg = base.clone().with_shard_threads(threads);
-            let (m, h) = run_once(&cfg, &mix);
-            assert_eq!(
-                m_serial, m,
-                "RunMetrics diverged: 4-channel sharded@{threads} vs serial under {engine:?}"
-            );
-            assert_eq!(
-                h_serial.combined(),
-                h.combined(),
-                "replay hash diverged: 4-channel sharded@{threads} vs serial \
-                 under {engine:?}: {:?}",
-                h_serial.first_diff(&h)
-            );
-        }
-        // `ShardMode::Channel` with no explicit budget draws from the
-        // executor's shared pool (REFSIM_THREADS / available cores) —
-        // whatever it resolves to on this host must not change results.
-        let (m_auto, h_auto) = run_once(&base.clone().with_shard(ShardMode::Channel), &mix);
-        assert_eq!(m_serial, m_auto);
-        assert_eq!(h_serial.combined(), h_auto.combined());
-    }
-}
-
 /// The sanitizer's Full-audit mode must stay quiet when the event-skip
 /// engine drives the machine — every event and quantum check holds on
 /// skipped spans exactly as on crawled ones.
@@ -266,21 +108,20 @@ fn event_skip_is_quiet_under_full_audit() {
 
 /// Multi-channel runs must satisfy the full invariant suite too: every
 /// `ChannelSample` checker (refresh coverage, postponement debt, bus
-/// occupancy, rank-refresh ordering) walks all channels, and a sharded
+/// occupancy, rank-refresh ordering) walks all channels, and a
 /// 2-channel event-skip run under `AuditLevel::Full` stays violation-
 /// free with the co-design policies active.
 #[test]
-fn two_channel_sharded_run_is_quiet_under_full_audit() {
+fn two_channel_run_is_quiet_under_full_audit() {
     let cfg = quick(SystemConfig::table1().co_design())
         .with_channels(2)
         .with_engine(EngineKind::EventSkip)
-        .with_audit(AuditLevel::Full)
-        .with_shard_threads(2);
+        .with_audit(AuditLevel::Full);
     let mut sys = System::try_new(cfg.clone(), &small_mix()).expect("build");
     sys.try_run_until(cfg.warmup).expect("warmup under audit");
     sys.begin_measure();
     sys.try_run_until(cfg.warmup + cfg.measure)
-        .expect("full-audit 2-channel sharded run must be violation-free");
+        .expect("full-audit 2-channel run must be violation-free");
     let m = sys.collect();
     assert!(
         m.controller.reads_completed > 0,

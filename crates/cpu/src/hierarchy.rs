@@ -59,7 +59,7 @@ pub struct CacheHierarchy {
     l1: Cache,
     l2: Cache,
     stats: HierStats,
-    /// Hot-line memo for [`CacheHierarchy::access_fast`]: the last line
+    /// Hot-line memo for [`CacheHierarchy::access`]: the last line
     /// that hit the L1 and the tag-store slot holding it. Runtime-only
     /// acceleration state — never checkpointed, cleared on restore and
     /// on every access that can move lines, so a stale slot can never be
@@ -84,11 +84,8 @@ impl CacheHierarchy {
         Self::new(CacheConfig::l1_32k(), CacheConfig::l2_1m())
     }
 
-    /// Accesses `paddr`; `write` marks stores.
-    pub fn access(&mut self, paddr: u64, write: bool) -> HierOutcome {
-        // Any full lookup can evict the memoized line; drop the memo so
-        // the fast path and this one can interleave freely.
-        self.hot = None;
+    /// The full two-level lookup behind [`CacheHierarchy::access`].
+    fn lookup(&mut self, paddr: u64, write: bool) -> HierOutcome {
         self.stats.accesses += 1;
         if self.l1.access(paddr, write).is_hit() {
             return HierOutcome::L1Hit;
@@ -115,14 +112,15 @@ impl CacheHierarchy {
         }
     }
 
-    /// Bit-identical twin of [`CacheHierarchy::access`] for the batched
-    /// core loop: consecutive accesses to one L1 line — the dominant case
-    /// in sequential phases — skip the tag walk and replay the hit
-    /// bookkeeping via [`Cache::touch`]. Every other access falls back
-    /// to the full lookup and re-arms the memo, so counters, LRU order
-    /// and dirty bits evolve exactly as under `access`.
+    /// Accesses `paddr`; `write` marks stores.
+    ///
+    /// Consecutive accesses to one L1 line — the dominant case in
+    /// sequential phases — skip the tag walk and replay the hit
+    /// bookkeeping via [`Cache::touch`]. Every other access runs the full
+    /// lookup and re-arms the memo, so counters, LRU order and dirty bits
+    /// evolve exactly as under the full lookup alone.
     #[inline]
-    pub fn access_fast(&mut self, paddr: u64, write: bool) -> HierOutcome {
+    pub fn access(&mut self, paddr: u64, write: bool) -> HierOutcome {
         if let Some((line, slot)) = self.hot {
             if self.l1.line_addr(paddr) == line {
                 self.stats.accesses += 1;
@@ -130,8 +128,8 @@ impl CacheHierarchy {
                 return HierOutcome::L1Hit;
             }
         }
-        let out = self.access(paddr, write);
-        // `access` leaves the line L1-resident on every path: a miss
+        let out = self.lookup(paddr, write);
+        // `lookup` leaves the line L1-resident on every path: a miss
         // allocates it, and the back-invalidation that may follow only
         // removes the L2 victim, a different line.
         self.hot = self
@@ -288,8 +286,8 @@ mod tests {
         let mut reference = CacheHierarchy::table1();
         let mut fast = CacheHierarchy::table1();
         // Deterministic mix of tight reuse (memo hits), set-conflict
-        // evictions and cold strides; interleave fast and plain calls on
-        // the fast hierarchy to exercise memo invalidation.
+        // evictions and cold strides; interleave memoized and full
+        // lookups on the fast hierarchy to exercise memo invalidation.
         let mut x = 0x1234_5678_u64;
         for i in 0..200_000u64 {
             x = x
@@ -301,11 +299,12 @@ mod tests {
                 _ => (x >> 16) % (256 << 20),        // cold sweep
             };
             let write = x.is_multiple_of(7);
-            let r = reference.access(addr, write);
+            let r = reference.lookup(addr, write);
             let f = if i.is_multiple_of(17) {
-                fast.access(addr, write)
+                fast.hot = None;
+                fast.lookup(addr, write)
             } else {
-                fast.access_fast(addr, write)
+                fast.access(addr, write)
             };
             assert_eq!(r, f, "diverged at access {i} addr {addr:#x}");
         }

@@ -194,7 +194,7 @@ enum Op {
     Access(u64, bool),
     Invalidate(u64),
     /// `locate` followed, when resident, by `touch`: the memo pair the
-    /// hierarchy's batched path uses.
+    /// hierarchy's L1 memo uses.
     LocateTouch(u64, bool),
     Probe(u64),
     ResetStats,

@@ -77,38 +77,6 @@ impl fmt::Display for BackendKind {
     }
 }
 
-/// Selects which implementation of the hot advance/tick path runs.
-///
-/// Both paths are bit-identical by construction — `ScalarReference`
-/// keeps the original per-bank walk (and the system's original per-op
-/// core loop) verbatim as a differential anchor, while `Batched` runs
-/// the struct-of-arrays lane scan with memoized planning. The
-/// equivalence suite sweeps every refresh policy through both; the run
-/// cache salts its fingerprint with this knob so the two paths never
-/// serve each other's artifacts.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum TickPath {
-    /// Batched SoA lane scan + memoized plan (the production path).
-    #[default]
-    Batched,
-    /// The pre-SoA scalar walk, preserved for differential testing.
-    ScalarReference,
-}
-
-impl TickPath {
-    /// Both paths, production first.
-    pub const ALL: [TickPath; 2] = [TickPath::Batched, TickPath::ScalarReference];
-}
-
-impl fmt::Display for TickPath {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TickPath::Batched => write!(f, "batched"),
-            TickPath::ScalarReference => write!(f, "scalar-reference"),
-        }
-    }
-}
-
 /// A backend's self-reported identity and topology, exchanged in the
 /// geometry handshake before any transaction flows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,12 +152,6 @@ pub trait MemoryBackend: fmt::Debug + Send {
 
     /// Zeroes statistics (measurement-phase boundary).
     fn reset_stats(&mut self);
-
-    /// Selects the hot-path implementation (see [`TickPath`]). Backends
-    /// with a single tick implementation — the shadow model — ignore it;
-    /// the contract is that both paths of any backend that *does*
-    /// distinguish them stay bit-identical.
-    fn set_tick_path(&mut self, _path: TickPath) {}
 
     /// Whether a read can be accepted right now.
     fn can_accept_read(&self) -> bool;
@@ -316,10 +278,6 @@ impl MemoryBackend for MemoryController {
 
     fn reset_stats(&mut self) {
         MemoryController::reset_stats(self);
-    }
-
-    fn set_tick_path(&mut self, path: TickPath) {
-        MemoryController::set_tick_path(self, path);
     }
 
     fn can_accept_read(&self) -> bool {

@@ -11,7 +11,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::backend::TickPath;
 use crate::bank::{BankLanes, BankPhase, RankState, SavedBank, SavedRank, NO_ROW};
 use crate::error::{ControllerSnapshot, DramError};
 use crate::geometry::BankId;
@@ -223,8 +222,8 @@ struct PendingRefresh {
     injected_delay: Ps,
 }
 
-/// Serving-queue depth at or below which the batched tick plans via
-/// the scalar walk instead of the lane scan: the scan's fixed setup
+/// Serving-queue depth at or below which the controller plans via the
+/// scalar walk instead of the lane scan: the scan's fixed setup
 /// (rank floors + a full `act_floor` pass) beats the walk only once a
 /// handful of entries share it. Only the queue FR-FCFS is actually
 /// serving counts — a deep write queue behind a read-serving walk
@@ -320,9 +319,6 @@ pub struct MemoryController {
     ranks: Vec<RankState>,
     banks_per_rank: u32,
 
-    /// Which planner runs ([`TickPath::Batched`] lanes scan by default;
-    /// the scalar reference walk is the bit-identity anchor).
-    tick_path: TickPath,
     /// Cached decision table of the active refresh policy.
     policy_table: PolicyTable,
     /// Memoized plan, invalidated on any mutation or cursor change.
@@ -389,7 +385,6 @@ impl MemoryController {
             lanes: BankLanes::new(n_banks),
             ranks: (0..g.ranks_per_channel).map(|_| RankState::new()).collect(),
             banks_per_rank: g.banks_per_rank,
-            tick_path: TickPath::default(),
             policy_table,
             plan_cache: None,
             scratch: PlanScratch::default(),
@@ -541,21 +536,6 @@ impl MemoryController {
     /// schedules are left untouched.
     pub fn reset_stats(&mut self) {
         self.stats.reset();
-    }
-
-    /// Selects which planner the controller runs: the batched
-    /// [`BankLanes`] scan (default) or the scalar reference walk kept as
-    /// the bit-identity anchor. Both produce identical command schedules
-    /// — the knob exists so equivalence tests and benchmarks can pit
-    /// them against each other.
-    pub fn set_tick_path(&mut self, path: TickPath) {
-        self.tick_path = path;
-        self.plan_cache = None;
-    }
-
-    /// The active tick path.
-    pub fn tick_path(&self) -> TickPath {
-        self.tick_path
     }
 
     /// The refresh-schedule forecast for `[start, end)` — the co-design's
@@ -1031,10 +1011,8 @@ impl MemoryController {
         // policies) the refresh schedule itself.
         self.plan_cache = None;
         // Decision table: the utilization callback is a no-op for every
-        // policy that does not observe it — skip the virtual dispatch on
-        // the batched path.
-        let skip_observe =
-            self.tick_path == TickPath::Batched && !self.policy_table.observes_utilization;
+        // policy that does not observe it — skip the virtual dispatch.
+        let observe = self.policy_table.observes_utilization;
         while self.epoch_start + epoch <= now {
             let busy = self.epoch_bus_busy.min(epoch);
             self.last_utilization = busy.as_ps() as f64 / epoch.as_ps() as f64;
@@ -1042,7 +1020,7 @@ impl MemoryController {
             self.epoch_start += epoch;
             let u = self.last_utilization;
             let t = self.epoch_start;
-            if !skip_observe {
+            if observe {
                 self.policy.observe_utilization(u, t);
             }
         }
@@ -1068,49 +1046,43 @@ impl MemoryController {
         free.saturating_sub(lat)
     }
 
-    /// Computes the controller's next action and its issue time,
-    /// dispatching on the active [`TickPath`].
+    /// Computes the controller's next action and its issue time.
     ///
-    /// On the batched path the decision is memoized: planning is pure in
-    /// everything but the idempotent in-scope settles, so the result
-    /// stays valid until the cursor moves or state mutates (enqueue,
-    /// execute, epoch roll, restore — each clears the memo). This
-    /// removes the double planning pass the engines otherwise pay per
-    /// step (`next_event_time` followed by the advance itself).
+    /// The decision is memoized: planning is pure in everything but the
+    /// idempotent in-scope settles, so the result stays valid until the
+    /// cursor moves or state mutates (enqueue, execute, epoch roll,
+    /// restore — each clears the memo). This removes the double planning
+    /// pass the engines otherwise pay per step (`next_event_time`
+    /// followed by the advance itself).
+    ///
+    /// The planner is selected by occupancy: the batched scan
+    /// pre-computes per-rank floors and a full `act_floor` lane pass, a
+    /// fixed cost that only amortizes once the walk visits enough queue
+    /// entries. Near-empty queues (the stall-serialized regime: one or
+    /// two dependent loads in flight) plan cheaper through the scalar
+    /// walk. Both planners are bit-identical, so this is a pure cost
+    /// choice; the memo covers either result.
     fn plan(&mut self) -> Option<(Ps, Action)> {
-        match self.tick_path {
-            TickPath::Batched => {
-                if let Some(c) = &self.plan_cache {
-                    if c.cursor == self.cursor {
-                        return c.result;
-                    }
-                }
-                // Planner selection by occupancy: the batched scan
-                // pre-computes per-rank floors and a full `act_floor`
-                // lane pass, a fixed cost that only amortizes once the
-                // walk visits enough queue entries. Near-empty queues
-                // (the stall-serialized regime: one or two dependent
-                // loads in flight) plan cheaper through the scalar
-                // walk. Both planners are bit-identical, so this is a
-                // pure cost choice; the memo covers either result.
-                let serving_depth = if self.draining || self.read_q.is_empty() {
-                    self.write_q.len()
-                } else {
-                    self.read_q.len()
-                };
-                let result = if serving_depth <= SMALL_PLAN_QUEUE {
-                    self.plan_reference()
-                } else {
-                    self.plan_batched()
-                };
-                self.plan_cache = Some(PlanCache {
-                    cursor: self.cursor,
-                    result,
-                });
-                result
+        if let Some(c) = &self.plan_cache {
+            if c.cursor == self.cursor {
+                return c.result;
             }
-            TickPath::ScalarReference => self.plan_reference(),
         }
+        let serving_depth = if self.draining || self.read_q.is_empty() {
+            self.write_q.len()
+        } else {
+            self.read_q.len()
+        };
+        let result = if serving_depth <= SMALL_PLAN_QUEUE {
+            self.plan_scalar()
+        } else {
+            self.plan_batched()
+        };
+        self.plan_cache = Some(PlanCache {
+            cursor: self.cursor,
+            result,
+        });
+        result
     }
 
     /// Considers refresh machinery (priority 0) for either planner:
@@ -1185,12 +1157,11 @@ impl MemoryController {
         }
     }
 
-    /// The scalar reference planner: the pre-batching walk, reading one
-    /// bank's state at a time through the per-lane accessors. Kept
-    /// verbatim as the bit-identity and performance anchor for
-    /// [`plan_batched`](Self::plan_batched) (selected via
-    /// [`TickPath::ScalarReference`]).
-    fn plan_reference(&mut self) -> Option<(Ps, Action)> {
+    /// The scalar planner: walks the queue reading one bank's state at a
+    /// time through the per-lane accessors. [`plan`](Self::plan) runs it
+    /// for queues at or below [`SMALL_PLAN_QUEUE`] entries, where the
+    /// batched planner's fixed per-plan setup does not pay off.
+    fn plan_scalar(&mut self) -> Option<(Ps, Action)> {
         let mut best: Option<(Ps, u8, Action)> = None; // (time, priority, action)
 
         // Refresh machinery (priority 0).
@@ -1259,19 +1230,19 @@ impl MemoryController {
     }
 
     /// The batched planner: the same decision procedure as
-    /// [`plan_reference`](Self::plan_reference), restructured around the
+    /// [`plan_scalar`](Self::plan_scalar), restructured around the
     /// [`BankLanes`] arrays. Per-bank ready-times are computed by one
     /// contiguous scan over the lanes, and per-rank issue floors (tFAW
     /// window, turnaround, data-bus handoff) are hoisted out of the
-    /// queue walk — the reference walk recomputes both per queue entry.
-    /// Candidate visit order matches the reference walk exactly, so
+    /// queue walk — the scalar walk recomputes both per queue entry.
+    /// Candidate visit order matches the scalar walk exactly, so
     /// tie-breaking (and therefore the command schedule) is
-    /// bit-identical; the `dram/tests/lanes.rs` suite enforces this
-    /// across every refresh policy.
+    /// bit-identical; a unit test below enforces this across every
+    /// refresh policy.
     fn plan_batched(&mut self) -> Option<(Ps, Action)> {
         let mut best: Option<(Ps, u8, Action)> = None; // (time, priority, action)
 
-        // Refresh machinery (priority 0) — shared with the reference
+        // Refresh machinery (priority 0) — shared with the scalar
         // planner; the scope spans at most one rank's lanes.
         self.plan_refresh_candidates(&mut best);
 
@@ -1371,11 +1342,8 @@ impl MemoryController {
             Action::SelectRefresh => {
                 // Decision table: when neither `select` nor
                 // `try_postpone` reads queue occupancy the per-bank scan
-                // is dead work — hand over an empty snapshot instead
-                // (batched path only; the scalar reference keeps the
-                // pre-existing sequence verbatim).
-                let snap = if self.tick_path == TickPath::Batched && !self.policy_table.reads_queue
-                {
+                // is dead work — hand over an empty snapshot instead.
+                let snap = if !self.policy_table.reads_queue {
                     QueueSnapshot {
                         per_bank_queued: Vec::new(),
                         utilization: self.last_utilization,
@@ -1386,11 +1354,8 @@ impl MemoryController {
                 // Elastic-style policies may defer the refresh into a
                 // quieter moment (bounded internally); re-plan if so.
                 // Policies whose table says they never postpone skip the
-                // virtual probe on the batched path (it always answers
-                // `false`).
-                if (self.tick_path != TickPath::Batched || self.policy_table.postpones)
-                    && self.policy.try_postpone(&snap, at)
-                {
+                // virtual probe (it always answers `false`).
+                if self.policy_table.postpones && self.policy.try_postpone(&snap, at) {
                     return Ok(());
                 }
                 let op = self.policy.select(&snap);
@@ -1881,5 +1846,93 @@ mod tests {
         // All 16 banks × full row coverage: commands = 16 × ceil-ish; at
         // scale 512 the window is 125 µs, tREFIpb = 487.5 ns → 256 cmds.
         assert!(c.stats().refreshes_pb >= 250, "{}", c.stats().refreshes_pb);
+    }
+
+    /// Runs `c` to `target` exactly like `advance_loop`, but at every
+    /// plan point asks both planners and the memoized dispatcher and
+    /// requires all three to agree. Returns how many plan points found
+    /// a serving queue deeper than [`SMALL_PLAN_QUEUE`] (where `plan`
+    /// dispatches to the lane scan).
+    fn advance_comparing_planners(c: &mut MemoryController, target: Ps) -> u64 {
+        let mut deep = 0;
+        loop {
+            c.roll_epochs(target);
+            let serving = if c.draining || c.read_q.is_empty() {
+                c.write_q.len()
+            } else {
+                c.read_q.len()
+            };
+            deep += u64::from(serving > SMALL_PLAN_QUEUE);
+            let scalar = c.plan_scalar();
+            let batched = c.plan_batched();
+            let dispatched = c.plan();
+            assert_eq!(scalar, batched, "planners diverged at {:?}", c.cursor);
+            assert_eq!(dispatched, scalar, "plan() diverged at {:?}", c.cursor);
+            match dispatched {
+                Some((at, action)) if at <= target => {
+                    c.cursor = at;
+                    c.execute(action, at).expect("execute");
+                }
+                _ => break,
+            }
+        }
+        c.cursor = target;
+        c.roll_epochs(target);
+        deep
+    }
+
+    #[test]
+    fn planners_agree_at_every_plan_point_for_every_policy() {
+        use crate::timing::FgrMode;
+        let policies = [
+            RefreshPolicyKind::NoRefresh,
+            RefreshPolicyKind::AllBank,
+            RefreshPolicyKind::PerBankRoundRobin,
+            RefreshPolicyKind::PerBankSequential,
+            RefreshPolicyKind::OooPerBank,
+            RefreshPolicyKind::Fgr(FgrMode::X2),
+            RefreshPolicyKind::Adaptive,
+            RefreshPolicyKind::Elastic,
+        ];
+        for policy in policies {
+            for seed in 0..3u64 {
+                let mapping =
+                    AddressMapping::new(Geometry::default(), MappingScheme::RowRankBankColumn);
+                let mut c = MemoryController::new(
+                    mapping,
+                    TimingParams::ddr3_1600(),
+                    RefreshTiming::scaled(Density::Gb32, Retention::Ms64, 1024),
+                    policy,
+                    ControllerConfig::default(),
+                );
+                let mut x = 0x9E37_79B9_7F4A_7C15 ^ seed;
+                let mut next = || {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    x >> 16
+                };
+                let (mut t, mut id, mut deep) = (Ps::ZERO, 0u64, 0u64);
+                while t < Ps::from_us(150) {
+                    deep += advance_comparing_planners(&mut c, t);
+                    // Bursts of 0-11 requests over a few hot rows keep
+                    // both shallow and deep queues, hits and conflicts.
+                    for _ in 0..next() % 12 {
+                        let r = next();
+                        let paddr = (r % 64) * 0x2_0000 + (r >> 8) % 32 * 64;
+                        let req = if r % 5 == 0 {
+                            write_req(&c, id, paddr, t)
+                        } else {
+                            read_req(&c, id, paddr, t)
+                        };
+                        let _ = c.enqueue(req);
+                        id += 1;
+                    }
+                    let _ = c.drain_completions();
+                    t += Ps::from_ns(400);
+                }
+                assert!(deep > 0, "{policy:?}: no plan point reached the lane scan");
+            }
+        }
     }
 }

@@ -140,16 +140,15 @@ impl fmt::Display for RefreshPolicyKind {
 }
 
 /// Precomputed per-policy decision table consulted by the controller's
-/// batched tick path.
+/// tick path.
 ///
 /// Every flag records whether the policy *ever* exercises an optional
 /// trait hook, letting the hot path skip the virtual dispatch and the
 /// argument construction (most expensively the per-bank queue-occupancy
 /// scan behind [`QueueSnapshot`]) for policies that provably ignore
-/// them. Skipping a hook a policy never uses cannot change behavior, so
-/// the batched path stays bit-identical to the scalar reference — each
-/// policy module carries a unit test pinning its row of the table to its
-/// actual overrides.
+/// them. Skipping a hook a policy never uses cannot change behavior —
+/// each policy module carries a unit test pinning its row of the table
+/// to its actual overrides.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyTable {
     /// [`RefreshPolicy::observe_utilization`] is overridden (the policy

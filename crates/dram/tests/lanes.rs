@@ -1,18 +1,17 @@
-//! Differential proof obligations for the batched SoA tick path.
+//! Differential proof obligations for the controller's tick path.
 //!
-//! The batched channel tick (`TickPath::Batched`) — struct-of-arrays
-//! bank lanes, plan memoization, decision-table-gated policy hooks —
-//! is only allowed to exist because it is *bit-identical* to the
-//! scalar reference walk (`TickPath::ScalarReference`): same
-//! completion stream, same statistics, same checkpoint image, for
-//! every refresh policy under randomized request streams. This suite
-//! pins that equivalence at the controller level (the system-level
-//! pins live in `refsim-core`'s engine suite), including the
-//! `next_event_time` probe interleaving that exercises the plan memo
-//! and checkpoint round-trips that cross from one path to the other.
+//! The plan memo lets the event-skip engine ask `next_event_time` and
+//! then advance without planning twice. That is only sound if probing
+//! is observation-only: a controller probed before every step must
+//! match an unprobed twin bit for bit — same completion stream, same
+//! statistics, same checkpoint image — for every refresh policy under
+//! randomized request streams. A memo that some mutation fails to
+//! invalidate shows up here as a divergence. The suite also pins the
+//! mid-run checkpoint → restore round trip: a restored controller
+//! resumes in lockstep with the original. (The system-level pins live
+//! in `refsim-core`'s engine suite and behaviour digest.)
 
 use proptest::prelude::*;
-use refsim_dram::backend::TickPath;
 use refsim_dram::controller::{ControllerConfig, MemoryController};
 use refsim_dram::geometry::Geometry;
 use refsim_dram::mapping::{AddressMapping, MappingScheme};
@@ -32,17 +31,15 @@ const ALL_POLICIES: [RefreshPolicyKind; 8] = [
     RefreshPolicyKind::Elastic,
 ];
 
-fn controller(policy: RefreshPolicyKind, path: TickPath) -> MemoryController {
+fn controller(policy: RefreshPolicyKind) -> MemoryController {
     let mapping = AddressMapping::new(Geometry::default(), MappingScheme::RowRankBankColumn);
-    let mut mc = MemoryController::new(
+    MemoryController::new(
         mapping,
         TimingParams::ddr3_1600(),
         RefreshTiming::scaled(Density::Gb32, Retention::Ms64, 1024),
         policy,
         ControllerConfig::default(),
-    );
-    mc.set_tick_path(path);
-    mc
+    )
 }
 
 fn req(mc: &MemoryController, id: u64, raw: u64, write: bool, at: Ps) -> MemRequest {
@@ -58,26 +55,22 @@ fn req(mc: &MemoryController, id: u64, raw: u64, write: bool, at: Ps) -> MemRequ
     }
 }
 
-/// Drives `a` (batched) and `b` (scalar reference) in lockstep through
-/// the same request stream and time grid, asserting observable
-/// equality at every step. `probe` additionally interleaves
-/// `next_event_time` calls — the double-plan pattern the event-skip
-/// engine exhibits and the plan memo exists to absorb — which must be
-/// observation-only on both paths.
+/// Drives `a` (probed) and `b` (unprobed) in lockstep through the same
+/// request stream and time grid, asserting observable equality at every
+/// step. Before each step `a` alone answers a `next_event_time` probe —
+/// the double-plan pattern the event-skip engine exhibits and the plan
+/// memo exists to absorb — which must be observation-only.
 fn drive_pair(
     a: &mut MemoryController,
     b: &mut MemoryController,
     stream: &[(u64, bool)],
     gap: Ps,
     end: Ps,
-    probe: bool,
 ) {
     let mut t = Ps::ZERO;
     let mut id = 0u64;
     while t < end {
-        if probe {
-            assert_eq!(a.next_event_time(), b.next_event_time(), "probe at {t:?}");
-        }
+        let _ = a.next_event_time();
         a.advance_to(t);
         b.advance_to(t);
         let (raw, write) = stream[id as usize % stream.len()];
@@ -106,44 +99,34 @@ fn drive_pair(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The headline equivalence: for every refresh policy, the batched
-    /// SoA tick reproduces the scalar reference walk bit for bit under
-    /// random request streams — completions, stats, and the full
-    /// checkpoint image.
+    /// The headline equivalence: for every refresh policy, a probed
+    /// controller reproduces an unprobed one bit for bit under random
+    /// request streams — completions, stats, and the full checkpoint
+    /// image.
     #[test]
-    fn tick_paths_are_bit_identical_for_every_policy(
+    fn probing_is_observation_only_for_every_policy(
         stream in prop::collection::vec((any::<u64>(), any::<bool>()), 20..60),
-        probe in any::<bool>(),
     ) {
         let end = Ps::from_us(200);
         for policy in ALL_POLICIES {
-            let mut batched = controller(policy, TickPath::Batched);
-            let mut scalar = controller(policy, TickPath::ScalarReference);
-            drive_pair(&mut batched, &mut scalar, &stream, Ps::from_ns(350), end, probe);
+            let mut probed = controller(policy);
+            let mut plain = controller(policy);
+            drive_pair(&mut probed, &mut plain, &stream, Ps::from_ns(350), end);
         }
     }
 
-    /// Checkpoints cross tick paths: an image saved mid-run on one path
-    /// restores into a controller on the other path, and both resumed
-    /// halves stay bit-identical to the end. This is the guarantee that
-    /// lets a sweep mix paths without forking its cache namespace at
-    /// the state layer.
+    /// An image saved mid-run restores into a fresh controller, and the
+    /// original and the restored copy stay bit-identical to the end.
     #[test]
-    fn checkpoints_cross_tick_paths(
+    fn checkpoint_restore_resumes_in_lockstep(
         stream in prop::collection::vec((any::<u64>(), any::<bool>()), 20..40),
-        swap in any::<bool>(),
     ) {
         let mid = Ps::from_us(80);
         let end = Ps::from_us(180);
         for policy in ALL_POLICIES {
-            let (first, second) = if swap {
-                (TickPath::ScalarReference, TickPath::Batched)
-            } else {
-                (TickPath::Batched, TickPath::ScalarReference)
-            };
-            // Run the first half on `first`, checkpoint, and restore the
-            // image into a fresh controller ticking on `second`.
-            let mut origin = controller(policy, first);
+            // Run the first half, checkpoint, and restore the image into
+            // a fresh controller.
+            let mut origin = controller(policy);
             let mut t = Ps::ZERO;
             let mut id = 0u64;
             while t < mid {
@@ -159,8 +142,8 @@ proptest! {
             let _ = origin.drain_completions();
             let image = origin.save_state();
 
-            let mut resumed = controller(policy, second);
-            resumed.restore_state(&image).expect("cross-path restore");
+            let mut resumed = controller(policy);
+            resumed.restore_state(&image).expect("restore");
 
             // Both halves continue over the same residual stream.
             while t < end {
@@ -183,10 +166,9 @@ proptest! {
     }
 }
 
-/// Deterministic long-haul pin over every policy with the probe
-/// interleaving always on — the configuration most likely to expose a
-/// stale plan memo (every probe plans at the cursor; every enqueue and
-/// execute must invalidate).
+/// Deterministic long-haul pin over every policy — the configuration
+/// most likely to expose a stale plan memo (every probe plans at the
+/// cursor; every enqueue and execute must invalidate).
 #[test]
 fn probed_long_run_agrees_for_every_policy() {
     let stream: Vec<(u64, bool)> = (0..97)
@@ -198,15 +180,14 @@ fn probed_long_run_agrees_for_every_policy() {
         })
         .collect();
     for policy in ALL_POLICIES {
-        let mut batched = controller(policy, TickPath::Batched);
-        let mut scalar = controller(policy, TickPath::ScalarReference);
+        let mut probed = controller(policy);
+        let mut plain = controller(policy);
         drive_pair(
-            &mut batched,
-            &mut scalar,
+            &mut probed,
+            &mut plain,
             &stream,
             Ps::from_ns(280),
             Ps::from_us(400),
-            true,
         );
     }
 }

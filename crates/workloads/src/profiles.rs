@@ -10,7 +10,7 @@
 //! `refsim-core` carries a calibration test asserting exactly that.
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use crate::pattern::{MemAccess, PatternKind, PatternState, SavedPattern};
@@ -380,47 +380,15 @@ impl TaskWorkload {
     }
 
     /// Generates the next unit of work.
-    pub fn next_op(&mut self) -> Op {
-        // Schedule memory instructions at mem_per_mille density using a
-        // credit accumulator: each call emits one memory instruction and
-        // the number of plain instructions that precede it.
-        let p = &self.profile;
-        self.mem_credit += 1000;
-        let non_mem = (self.mem_credit / p.mem_per_mille).saturating_sub(1);
-        self.mem_credit -= (non_mem + 1) * p.mem_per_mille;
-
-        let is_cold = self.rng.gen_range(0..1000) < p.cold_per_mille;
-        let write = self.rng.gen_range(0..1000) < p.write_per_mille;
-        let (vaddr, dependent) = if is_cold {
-            let (off, dep) = self.cold.next(&mut self.rng);
-            let dep = dep && self.rng.gen_range(0..1000) < p.dependent_per_mille;
-            (p.hot_bytes + off, dep && !write)
-        } else {
-            // Hot region: tight sequential reuse loop.
-            let off = self.hot_cursor;
-            self.hot_cursor = (self.hot_cursor + 8) % p.hot_bytes;
-            (off, false)
-        };
-        Op {
-            non_mem,
-            mem: Some(MemAccess {
-                vaddr,
-                write,
-                dependent,
-            }),
-        }
-    }
-
-    /// Bit-identical twin of [`TaskWorkload::next_op`] for the batched
-    /// hot path: same draws from the same stream in the same order, with
-    /// `gen_range`'s u128 modulo replaced by its u64 equivalent (the
-    /// remainder is identical for any span that fits in u64 — here
-    /// 1000), and marked `#[inline]` so the call dissolves into the
-    /// caller's loop. The stream-equivalence test below pins the
-    /// op-for-op identity, so the two generators may be interleaved
-    /// freely on one `TaskWorkload`.
+    ///
+    /// Each call emits one memory instruction and the number of plain
+    /// instructions that precede it, scheduled at `mem_per_mille`
+    /// density by a credit accumulator. The dice are `next_u64() % 1000`:
+    /// the same draws and remainders as `gen_range(0..1000)` (the span
+    /// fits in u64), without its u128 modulo, so the call dissolves into
+    /// the core loop. A test pins the op stream to the `gen_range` form.
     #[inline]
-    pub fn next_op_fast(&mut self) -> Op {
+    pub fn next_op(&mut self) -> Op {
         let p = &self.profile;
         self.mem_credit += 1000;
         let non_mem = (self.mem_credit / p.mem_per_mille).saturating_sub(1);
@@ -430,11 +398,12 @@ impl TaskWorkload {
         let write = ((self.rng.next_u64() % 1000) as u32) < p.write_per_mille;
         let (vaddr, dependent) = if is_cold {
             let (off, dep) = self.cold.next(&mut self.rng);
-            // Mirrors next_op's short-circuit: the dependence die is
-            // rolled only when the pattern marked the access dependent.
+            // The dependence die is rolled only when the pattern marked
+            // the access dependent.
             let dep = dep && ((self.rng.next_u64() % 1000) as u32) < p.dependent_per_mille;
             (p.hot_bytes + off, dep && !write)
         } else {
+            // Hot region: tight sequential reuse loop.
             let off = self.hot_cursor;
             self.hot_cursor = (self.hot_cursor + 8) % p.hot_bytes;
             (off, false)
@@ -453,6 +422,7 @@ impl TaskWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     #[test]
     fn profiles_are_valid_and_nominally_in_class() {
@@ -535,20 +505,49 @@ mod tests {
         assert!(saw_dep, "mcf should issue dependent loads");
     }
 
+    /// The `gen_range` form of [`TaskWorkload::next_op`]: the reference
+    /// the production generator's `next_u64() % 1000` dice are pinned to.
+    fn reference_next_op(w: &mut TaskWorkload) -> Op {
+        let p = &w.profile;
+        w.mem_credit += 1000;
+        let non_mem = (w.mem_credit / p.mem_per_mille).saturating_sub(1);
+        w.mem_credit -= (non_mem + 1) * p.mem_per_mille;
+
+        let is_cold = w.rng.gen_range(0..1000) < p.cold_per_mille;
+        let write = w.rng.gen_range(0..1000) < p.write_per_mille;
+        let (vaddr, dependent) = if is_cold {
+            let (off, dep) = w.cold.next(&mut w.rng);
+            let dep = dep && w.rng.gen_range(0..1000) < p.dependent_per_mille;
+            (p.hot_bytes + off, dep && !write)
+        } else {
+            let off = w.hot_cursor;
+            w.hot_cursor = (w.hot_cursor + 8) % p.hot_bytes;
+            (off, false)
+        };
+        Op {
+            non_mem,
+            mem: Some(MemAccess {
+                vaddr,
+                write,
+                dependent,
+            }),
+        }
+    }
+
     #[test]
     fn fast_op_stream_is_bit_identical() {
-        // Every benchmark, interleaved calls included: the fast
-        // generator must consume the RNG stream exactly like the
-        // reference, or the batched core path would diverge.
+        // Every benchmark, interleaved calls included: the generator
+        // must consume the RNG stream exactly like the `gen_range`
+        // reference.
         for b in Benchmark::ALL {
             let mut reference = TaskWorkload::new(b, 11);
             let mut fast = TaskWorkload::new(b, 11);
             for i in 0..50_000 {
-                let r = reference.next_op();
+                let r = reference_next_op(&mut reference);
                 let f = if i % 3 == 0 {
-                    fast.next_op()
+                    reference_next_op(&mut fast)
                 } else {
-                    fast.next_op_fast()
+                    fast.next_op()
                 };
                 assert_eq!(r, f, "{b} diverged at op {i}");
             }

@@ -3,12 +3,8 @@
 #
 # Produces, into --out-dir (default ./profile-out):
 #
-#   * BENCH_simwall.json — the scenario matrix with the "hotpath" block
-#     (scalar vs batched tick-path walls, and ns_per_command: wall
-#     nanoseconds per retired DRAM command — the profile-stable unit
-#     cost that makes flamegraph diffs comparable across hosts) and the
-#     "sharding" block (serial vs channel-sharded walls on the
-#     4-channel scenario);
+#   * BENCH_simwall.json — the scenario matrix: fixed-step and
+#     event-skip walls and simulated ps per wall second per scenario;
 #   * perf-stat.txt      — hardware counters for the compute-bound
 #     scenario run, when `perf` is available;
 #   * flamegraph.svg     — a CPU flamegraph of the same run, when
@@ -24,7 +20,7 @@
 #
 # --pgo builds a profile-guided simwall (instrument → train on the
 # scenario matrix → rebuild with the merged profile) and reports the
-# hotpath medians of the PGO build next to the plain build. Requires
+# scenario medians of the PGO build next to the plain build. Requires
 # llvm-profdata (from rustup's llvm-tools component or the system LLVM);
 # skipped with a note otherwise.
 
@@ -39,7 +35,7 @@ while [ $# -gt 0 ]; do
         --out-dir) OUT_DIR="$2"; shift ;;
         --pgo) PGO=1 ;;
         -h|--help)
-            sed -n '2,27p' "$0" | sed 's/^# \{0,1\}//'
+            sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//'
             exit 0
             ;;
         *) echo "unknown flag $1 (try --help)" >&2; exit 2 ;;
@@ -56,34 +52,25 @@ note() { printf '%s\n' "$*" >&2; }
 note "==> building simwall (release, debug symbols)"
 cargo build --release -p refsim-bench --bin simwall
 
-note "==> simwall scenario matrix + hotpath block"
+note "==> simwall scenario matrix"
 ./target/release/simwall $QUICK --out "$OUT_DIR/BENCH_simwall.json"
 
 if command -v python3 >/dev/null 2>&1; then
-    note "==> ns_per_command summary"
+    note "==> event-skip summary"
     python3 - "$OUT_DIR/BENCH_simwall.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
-print(f"{'scenario':<20} {'ratio':>7} {'ns/cmd':>10}")
-for row in doc.get("hotpath", {}).get("rows", []):
-    print(f"{row['name']:<20} {row['ratio']:>6.2f}x {row['ns_per_command']:>10.2f}")
-sh = doc.get("sharding", {})
-if sh:
-    gate = "skipped" if sh.get("floor_skipped") else "gated"
-    print(f"sharding ({sh.get('channels')}ch, floor {gate}):")
-    for row in sh.get("rows", []):
-        print(f"  {row['threads']} thread(s) {row['speedup']:>6.2f}x")
+print(f"{'scenario':<20} {'skip ps/s':>12} {'speedup':>8}")
+for row in doc.get("scenarios", []):
+    print(f"{row['name']:<20} {row['event_skip']['sim_ps_per_s']:>12.3e} {row['speedup']:>7.2f}x")
 EOF
 fi
 
-# The profiling target covers both hot regimes: the compute-bound
-# scenarios, where the per-op hot loop (workload op stream ->
-# translate -> cache access) plus the channel tick are ~95 % of wall
-# time, and the 4-channel sharding scenario, where the per-channel
-# controller tick dominates and the shard workers' advance loop is the
-# hot path — so the flamegraph shows both the single-channel tick cost
-# and the sharded multi-channel walk.
-PROFILE_CMD=(./target/release/simwall --quick --shard-threads 1,4 --out "$OUT_DIR/BENCH_profiled.json")
+# The profiling target is the scenario matrix: on the compute-bound
+# scenarios the per-op hot loop (workload op stream -> translate ->
+# cache access) plus the channel tick are ~95 % of wall time, and the
+# stall-heavy ones exercise the event-skip horizon.
+PROFILE_CMD=(./target/release/simwall --quick --out "$OUT_DIR/BENCH_profiled.json")
 
 # ---- 2. perf stat (optional) ----------------------------------------
 if command -v perf >/dev/null 2>&1 && perf stat -o /dev/null true 2>/dev/null; then
