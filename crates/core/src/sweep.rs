@@ -6,9 +6,10 @@
 //! steered through explicit span boundaries (see
 //! [`crate::replay::span_boundaries`]) so it can periodically persist a
 //! [`Checkpoint`]. A job that dies — panic, transient checkpoint I/O
-//! fault — is retried with bounded exponential backoff, resuming from
-//! its last on-disk checkpoint rather than from scratch; a job that
-//! keeps dying is *quarantined* so the rest of the sweep completes.
+//! fault — is retried up to [`SweepOptions::max_retries`] times,
+//! resuming from its last on-disk checkpoint rather than from scratch;
+//! a job that keeps dying is *quarantined* so the rest of the sweep
+//! completes.
 //! Deterministic failures (invalid config, empty workload, OOM, DRAM
 //! faults, watchdog trips) are never retried: re-running a
 //! deterministic simulator reproduces them bit for bit.
@@ -46,14 +47,14 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use refsim_dram::time::Ps;
 
 use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
 use crate::codec::{self, to_bytes, Dec, Enc};
 use crate::error::RefsimError;
-use crate::executor::{self, default_threads, ExecItem, ExecutorOptions, ExecutorStats, Verdict};
+use crate::executor::{self, default_threads, ExecItem, ExecutorStats, Verdict};
 use crate::experiment::Job;
 use crate::metrics::RunMetrics;
 use crate::replay::{span_boundaries, StateHashes};
@@ -73,9 +74,6 @@ pub struct SweepOptions {
     pub checkpoint_every: Option<Ps>,
     /// Additional attempts after the first failure of a retryable job.
     pub max_retries: u32,
-    /// Base backoff slept before a retry; doubles per attempt, capped
-    /// at one second.
-    pub backoff: Duration,
     /// Test-only fault injection: panic a chosen job mid-run. Injection
     /// targets a job *index*; a duplicate cell deduped onto another
     /// leader never runs and so never fires its injection.
@@ -92,10 +90,6 @@ pub struct SweepOptions {
     /// Defaults to the real filesystem; the crash-matrix harness swaps
     /// in a [`crate::vfs::FaultVfs`].
     pub vfs: Arc<dyn Vfs>,
-    /// Supervision and isolation policy for the work-stealing executor
-    /// that runs the deduplicated leader cells (deadlines, straggler
-    /// escalation, worker quarantine, chaos injection).
-    pub executor: ExecutorOptions,
 }
 
 impl Default for SweepOptions {
@@ -104,12 +98,10 @@ impl Default for SweepOptions {
             dir: None,
             checkpoint_every: None,
             max_retries: 1,
-            backoff: Duration::ZERO,
             inject: None,
             cache: None,
             verify_sampled: true,
             vfs: std_vfs(),
-            executor: ExecutorOptions::default(),
         }
     }
 }
@@ -153,8 +145,7 @@ pub struct SweepReport {
     /// from the surviving checksummed per-job metrics frames.
     pub manifest_rebuilt: bool,
     /// Scheduling telemetry from the work-stealing executor (steals,
-    /// requeues, deadline escalations, quarantined workers, tail-cell
-    /// histogram).
+    /// requeues, tail-cell histogram).
     pub executor: ExecutorStats,
 }
 
@@ -173,10 +164,6 @@ struct SweepTelemetry {
 fn is_retryable(e: &RefsimError) -> bool {
     match e {
         RefsimError::Panicked(_) | RefsimError::Checkpoint(_) => true,
-        // Supervisor cancellation abandons a straggling attempt so its
-        // worker can serve healthy cells; the re-run (from checkpoint
-        // when one exists) produces the same bits later.
-        RefsimError::Cancelled { .. } => true,
         RefsimError::Io(io) => io.is_transient(),
         _ => false,
     }
@@ -418,10 +405,7 @@ struct AttemptOutcome {
 
 /// Runs one attempt of `job`, checkpointing at each span boundary when a
 /// sweep directory is configured, resuming from an existing checkpoint
-/// when one is present and importable. `cancel`, when supplied, is
-/// installed as the system's cooperative-cancellation hook (see
-/// [`System::set_cancel_hook`]) so the executor's supervisor can
-/// reclaim a straggling attempt.
+/// when one is present and importable.
 fn run_attempt(
     job: &Job,
     job_idx: usize,
@@ -429,7 +413,6 @@ fn run_attempt(
     opts: &SweepOptions,
     want_hash: bool,
     tel: &SweepTelemetry,
-    cancel: Option<&Arc<AtomicBool>>,
 ) -> Result<AttemptOutcome, RefsimError> {
     let t0 = Instant::now();
     let cfg = &job.cfg;
@@ -480,11 +463,6 @@ fn run_attempt(
             s
         }
     };
-    // Installed after both construction paths, so a checkpoint-restored
-    // attempt is just as reclaimable as a cold one.
-    if let Some(flag) = cancel {
-        sys.set_cancel_hook(Arc::clone(flag));
-    }
     for (s_idx, &b) in boundaries.iter().enumerate() {
         if b <= sys.now() {
             continue; // already covered by the restored checkpoint
@@ -535,8 +513,8 @@ fn run_attempt(
 // ---- the runner ----------------------------------------------------------
 
 /// Error-tolerant, crash-safe sweep: runs every job to a `Result` in job
-/// order, retrying retryable failures from their last checkpoint with
-/// bounded backoff and quarantining jobs that keep failing. With
+/// order, retrying retryable failures from their last checkpoint and
+/// quarantining jobs that keep failing. With
 /// `opts.dir` set, progress survives process death: rerun with the same
 /// jobs and options to resume from the manifest.
 ///
@@ -799,17 +777,15 @@ pub fn run_many_resilient(
     };
 
     // One executor dispatch of one leader: a single attempt, with the
-    // verdict routing retries (requeue, never a sleeping worker),
-    // supervisor cancellations (requeue outside the retry budget), and
-    // terminal outcomes (fan-out).
-    let exec_run = |p: usize, ctx: &executor::ExecCtx<'_>| -> Verdict {
+    // verdict routing retries (requeue) and terminal outcomes (fan-out).
+    let exec_run = |p: usize| -> Verdict {
         let i = leaders[p];
         let fp = fingerprints[i];
         let prep = prepared[p].get_or_init(|| prepare(i, fp));
         let (verify, verify_sz, use_cache) = match prep {
             Prepared::Serve(m) => {
                 finish(fp, Ok((**m).clone()), false);
-                return Verdict::Done { poisoned: false };
+                return Verdict::Done;
             }
             Prepared::Execute {
                 verify,
@@ -819,24 +795,7 @@ pub fn run_many_resilient(
         };
         let attempt = attempts[p].load(Ordering::Relaxed);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // A chaos plan's crash-looping job *class* panics inside the
-            // sweep's own guard, so it burns real attempt budget and
-            // terminates as a typed error + quarantined cell — the
-            // executor-side worker faults never touch that budget.
-            if let Some(plan) = &opts.executor.fault_plan {
-                if plan.crashes_job(i) {
-                    panic!("injected crash-loop (job {i}, attempt {attempt})");
-                }
-            }
-            run_attempt(
-                &jobs[i],
-                i,
-                attempt,
-                opts,
-                use_cache,
-                &tel,
-                Some(ctx.cancel),
-            )
+            run_attempt(&jobs[i], i, attempt, opts, use_cache, &tel)
         }))
         .unwrap_or_else(|payload| Err(RefsimError::Panicked(panic_message(payload.as_ref()))));
         match r {
@@ -870,46 +829,23 @@ pub fn run_many_resilient(
                     Ok(out.metrics)
                 };
                 finish(fp, outcome, false);
-                Verdict::Done { poisoned: false }
-            }
-            Err(RefsimError::Cancelled { .. }) => {
-                // A reclaimed straggler re-runs (from its checkpoint
-                // when one exists) without consuming the retry budget;
-                // the executor doubles its deadline and bounds how many
-                // cancellations one cell can absorb.
-                Verdict::Requeue {
-                    backoff: Duration::ZERO,
-                    poisoned: false,
-                    cancelled: true,
-                }
+                Verdict::Done
             }
             Err(e) => {
-                let poisoned = matches!(e, RefsimError::Panicked(_));
                 let retryable = is_retryable(&e);
                 if retryable && attempt < opts.max_retries {
                     retries.fetch_add(1, Ordering::Relaxed);
                     attempts[p].fetch_add(1, Ordering::Relaxed);
-                    // Exponential backoff as before — but requeued, so
-                    // the worker serves healthy cells while this one
-                    // waits out its delay.
-                    let backoff = opts
-                        .backoff
-                        .saturating_mul(1 << attempt.min(10))
-                        .min(Duration::from_secs(1));
-                    Verdict::Requeue {
-                        backoff,
-                        poisoned,
-                        cancelled: false,
-                    }
+                    Verdict::Requeue
                 } else {
                     finish(fp, Err(e), retryable);
-                    Verdict::Done { poisoned }
+                    Verdict::Done
                 }
             }
         }
     };
 
-    let exec_stats = executor::execute(&items, workers, &opts.executor, exec_run);
+    let exec_stats = executor::execute(&items, workers, exec_run);
 
     let mut quarantined = quarantined.into_inner().expect("poisoned");
     quarantined.sort_unstable();
@@ -933,8 +869,7 @@ pub fn run_many_resilient(
 }
 
 /// The once-per-leader cache decision, cached across executor requeues
-/// so a retried or cancelled dispatch never re-probes (or re-counts)
-/// the cache.
+/// so a retried dispatch never re-probes (or re-counts) the cache.
 #[derive(Debug)]
 enum Prepared {
     /// Serve the cached metrics without executing.
@@ -1056,7 +991,6 @@ mod tests {
                 dir: Some(dir.clone()),
                 checkpoint_every: Some(every),
                 max_retries: 1,
-                backoff: Duration::ZERO,
                 inject: Some(PanicInjection {
                     job: 0,
                     attempts: 1,
