@@ -1,8 +1,8 @@
 //! # refsim-bench
 //!
 //! Binaries that regenerate every results table and figure of the
-//! reproduced paper (see DESIGN.md §4 for the index), plus Criterion
-//! benches over the simulator's hot paths.
+//! reproduced paper (see DESIGN.md §4 for the index), plus the
+//! `simwall` and `refbench` benchmarks.
 //!
 //! Every figure binary accepts:
 //!

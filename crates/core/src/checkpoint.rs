@@ -35,14 +35,12 @@ use refsim_dram::time::Ps;
 use refsim_os::bank_alloc::SavedBankAlloc;
 use refsim_os::sched::{SavedScheduler, SchedStats};
 use refsim_os::vm::SavedAddressSpace;
-use refsim_workloads::mix::WorkloadMix;
 use refsim_workloads::profiles::SavedWorkload;
 
 use refsim_cpu::core::SavedExecContext;
 use refsim_cpu::hierarchy::SavedHierarchy;
 
 use crate::codec::{self, CodecError, Dec, Enc, Snapshot};
-use crate::config::SystemConfig;
 use crate::vfs::{self, StdVfs, Vfs, VfsError};
 
 /// Magic number opening every checkpoint image.
@@ -417,16 +415,6 @@ impl From<CodecError> for CheckpointError {
     }
 }
 
-/// FNV-1a fingerprint of a `(config, mix)` pair, stored in every
-/// checkpoint so images cannot be restored into a differently
-/// configured system. Delegates to the run cache's canonical encoding
-/// ([`crate::runcache::job_fingerprint`]): a stable, field-by-field
-/// byte encoding rather than the `Debug` representation, so the
-/// fingerprint survives field renames and `Debug`-format churn.
-pub fn config_fingerprint(cfg: &SystemConfig, mix: &WorkloadMix) -> u64 {
-    crate::runcache::job_fingerprint(cfg, mix)
-}
-
 /// A framed, checksummed checkpoint: fingerprint + [`SavedSystem`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Checkpoint {
@@ -554,6 +542,8 @@ impl Checkpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemConfig;
+    use crate::runcache::job_fingerprint;
     use refsim_workloads::mix::by_name;
 
     fn tiny_state() -> SavedSystem {
@@ -650,12 +640,12 @@ mod tests {
         let cfg = SystemConfig::table1();
         let mix5 = by_name("WL-5").unwrap();
         let mix4 = by_name("WL-4").unwrap();
-        let f = config_fingerprint(&cfg, &mix5);
-        assert_eq!(f, config_fingerprint(&cfg, &mix5), "must be stable");
-        assert_ne!(f, config_fingerprint(&cfg, &mix4), "mix must matter");
+        let f = job_fingerprint(&cfg, &mix5);
+        assert_eq!(f, job_fingerprint(&cfg, &mix5), "must be stable");
+        assert_ne!(f, job_fingerprint(&cfg, &mix4), "mix must matter");
         assert_ne!(
             f,
-            config_fingerprint(&cfg.co_design(), &mix5),
+            job_fingerprint(&cfg.co_design(), &mix5),
             "config must matter"
         );
     }

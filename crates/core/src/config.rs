@@ -123,11 +123,12 @@ pub struct SystemConfig {
     /// knob, not a cosmetic one.
     #[serde(default = "default_step")]
     pub step: Ps,
-    /// Deliberate event-skip horizon overshoot (test-only negative
-    /// control for the engine-equivalence harness; see
-    /// `System::debug_skip_overshoot`). `ZERO` — the only sane value —
-    /// by default. Non-zero values corrupt the run *on purpose*, so the
-    /// run cache refuses to serve or store such runs.
+    /// Deliberate event-skip horizon overshoot: the event-skip engine
+    /// widens every jump by this much, quantum ends included (test-only
+    /// negative control for the engine-equivalence harness). `ZERO` —
+    /// the only sane value — by default. Non-zero values corrupt the
+    /// run *on purpose*, so the run cache refuses to serve or store such
+    /// runs.
     #[serde(default)]
     pub debug_skip_overshoot: Ps,
     /// Which DRAM timing model sits behind every channel's

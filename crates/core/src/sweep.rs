@@ -51,14 +51,16 @@ use std::time::Instant;
 
 use refsim_dram::time::Ps;
 
-use crate::checkpoint::{config_fingerprint, Checkpoint, CheckpointError};
+use crate::checkpoint::{Checkpoint, CheckpointError};
 use crate::codec::{self, to_bytes, Dec, Enc};
 use crate::error::RefsimError;
 use crate::executor::{self, default_threads, ExecItem, ExecutorStats, Verdict};
 use crate::experiment::Job;
 use crate::metrics::RunMetrics;
 use crate::replay::{span_boundaries, StateHashes};
-use crate::runcache::{bypass_reason, CacheEntry, CacheLookup, CacheStats, RunCache};
+use crate::runcache::{
+    bypass_reason, job_fingerprint, CacheEntry, CacheLookup, CacheStats, RunCache,
+};
 use crate::system::System;
 use crate::vfs::{self, std_vfs, Vfs, VfsErrorKind};
 
@@ -532,7 +534,7 @@ pub fn run_many_resilient(
     let n = jobs.len();
     let fingerprints: Vec<u64> = jobs
         .iter()
-        .map(|j| config_fingerprint(&j.cfg, &j.mix))
+        .map(|j| job_fingerprint(&j.cfg, &j.mix))
         .collect();
 
     let vfs = &*opts.vfs;

@@ -30,13 +30,14 @@ use refsim_workloads::mix::WorkloadMix;
 use refsim_workloads::profiles::TaskWorkload;
 
 use crate::checkpoint::{
-    config_fingerprint, Checkpoint, SavedBaseline, SavedCore, SavedInflight, SavedPendingMem,
-    SavedSim, SavedSystem, SavedTask,
+    Checkpoint, SavedBaseline, SavedCore, SavedInflight, SavedPendingMem, SavedSim, SavedSystem,
+    SavedTask,
 };
 use crate::config::{EngineKind, SystemConfig};
 use crate::error::{RefsimError, SystemSnapshot};
 use crate::fastmap::FnvMap;
 use crate::metrics::{RunMetrics, TaskMetrics};
+use crate::runcache::job_fingerprint;
 use crate::sanitize::{
     AuditLevel, AuditScope, ChannelSample, CoreSample, Event, QuantumSample, Sanitizer,
     SchedSample, TaskSample, ViolationReport,
@@ -190,9 +191,9 @@ pub struct System {
     comp_buf: Vec<Completion>,
     /// Reusable per-step buffer for the sanitizer's DRAM command trace.
     trace_buf: Vec<TraceEntry>,
-    /// Test hook: widens every event-skip jump by this much, deliberately
-    /// overshooting event horizons. See [`System::debug_skip_overshoot`].
-    skip_overshoot: Ps,
+    /// Reusable buffer for the skip horizon's per-channel completion
+    /// bounds `(next action, channel)`.
+    bounds_buf: Vec<(Ps, usize)>,
     /// Engine telemetry (not checkpointed, not hashed): loop iterations
     /// and which horizon constraint bound each skip decision.
     engine_stats: EngineStats,
@@ -350,7 +351,6 @@ impl System {
                 &audit_scope(&cfg, n as u32),
             )))
         };
-        let skip_overshoot = cfg.debug_skip_overshoot;
         let mut sys = System {
             cfg,
             clock: Ps::ZERO,
@@ -371,7 +371,7 @@ impl System {
             last_report: None,
             comp_buf: Vec::new(),
             trace_buf: Vec::new(),
-            skip_overshoot,
+            bounds_buf: Vec::new(),
             engine_stats: EngineStats::default(),
         };
         if sys.san.is_some() {
@@ -702,75 +702,64 @@ impl System {
             (0..n_ch).all(|ch| !self.mcs[ch].has_completions()),
             "completions must be drained before a skip decision"
         );
-        if n_ch == 1 {
-            if self.mcs[0].queue_depths().0 > 0 {
-                let cas = self.mcs[0].try_advance_until_completion(w)?;
-                if let Some(cas_at) = cas {
-                    w = w.min(self.chain_ceil(cas_at));
-                    self.engine_stats.completion_bound += 1;
-                }
+        // "Advance the laggard": discover the earliest read completion
+        // across channels by early-stop discovery, composed as a min over
+        // per-channel horizons. Each read-holding channel's next planned
+        // action time is a lower bound on its earliest possible
+        // completion, and that bound is nondecreasing as the channel
+        // advances. Repeatedly advance the channel with the smallest
+        // bound, but never past the second-smallest (or `w`): then every
+        // sibling's earliest action — and therefore the final, possibly
+        // smaller, chosen boundary — is at or after every instant any
+        // channel has crossed, so no channel ever overshoots. With one
+        // channel this is a single advance to `w`. Channels without
+        // queued reads cannot produce completions and are advanced by
+        // phase 4 as usual.
+        let mut bounds = std::mem::take(&mut self.bounds_buf);
+        bounds.clear();
+        for ch in 0..n_ch {
+            if self.mcs[ch].queue_depths().0 == 0 {
+                continue;
             }
-        } else {
-            // "Advance the laggard": discover the earliest read
-            // completion across channels with the same early-stop
-            // discovery the single-channel path uses, composed as a min
-            // over per-channel horizons. Each read-holding channel's
-            // next planned action time is a lower bound on its earliest
-            // possible completion, and that bound is nondecreasing as
-            // the channel advances. Repeatedly advance the channel with
-            // the smallest bound, but never past the second-smallest
-            // (or `w`): then every sibling's earliest action — and
-            // therefore the final, possibly smaller, chosen boundary —
-            // is at or after every instant any channel has crossed, so
-            // no channel ever overshoots. Channels without queued reads
-            // cannot produce completions and are advanced by phase 4
-            // as usual.
-            let mut bounds: Vec<(Ps, usize)> = Vec::with_capacity(n_ch);
-            for ch in 0..n_ch {
-                if self.mcs[ch].queue_depths().0 == 0 {
-                    continue;
-                }
-                let next = self.mcs[ch].next_event_time();
-                if let Some(t) = next {
-                    bounds.push((t, ch));
-                }
+            if let Some(t) = self.mcs[ch].next_event_time() {
+                bounds.push((t, ch));
             }
-            // Smallest bound first; the (Ps, channel) lexicographic
-            // order breaks ties toward the lowest channel, keeping the
-            // walk deterministic.
-            while let Some(&(lb1, ch1)) = bounds.iter().min() {
-                if lb1 > w {
-                    break; // no channel can act before the horizon
-                }
-                let lb2 = bounds
-                    .iter()
-                    .filter(|&&(_, c)| c != ch1)
-                    .map(|&(t, _)| t)
-                    .min()
-                    .unwrap_or(w);
-                let target = lb2.min(w);
-                let cas = self.mcs[ch1].try_advance_until_completion(target)?;
-                if let Some(cas_at) = cas {
-                    // Every sibling's earliest action is ≥ lb2 ≥ cas_at,
-                    // so this is the global earliest completion (ties
-                    // land on the same chain boundary).
-                    w = w.min(self.chain_ceil(cas_at));
-                    self.engine_stats.completion_bound += 1;
-                    break;
-                }
-                // No completion up to `target`: the channel's cursor sits
-                // at `target` and its bound strictly grew; re-derive it.
-                bounds.retain(|&(_, c)| c != ch1);
-                if self.mcs[ch1].queue_depths().0 > 0 {
-                    let next = self.mcs[ch1].next_event_time();
-                    if let Some(t) = next {
-                        bounds.push((t, ch1));
-                    }
+        }
+        // Smallest bound first; the (Ps, channel) lexicographic order
+        // breaks ties toward the lowest channel, keeping the walk
+        // deterministic.
+        while let Some(&(lb1, ch1)) = bounds.iter().min() {
+            if lb1 > w {
+                break; // no channel can act before the horizon
+            }
+            let lb2 = bounds
+                .iter()
+                .filter(|&&(_, c)| c != ch1)
+                .map(|&(t, _)| t)
+                .min()
+                .unwrap_or(w);
+            let target = lb2.min(w);
+            let cas = self.mcs[ch1].try_advance_until_completion(target)?;
+            if let Some(cas_at) = cas {
+                // Every sibling's earliest action is ≥ lb2 ≥ cas_at, so
+                // this is the global earliest completion (ties land on
+                // the same chain boundary).
+                w = w.min(self.chain_ceil(cas_at));
+                self.engine_stats.completion_bound += 1;
+                break;
+            }
+            // No completion up to `target`: the channel's cursor sits at
+            // `target` and its bound strictly grew; re-derive it.
+            bounds.retain(|&(_, c)| c != ch1);
+            if self.mcs[ch1].queue_depths().0 > 0 {
+                if let Some(t) = self.mcs[ch1].next_event_time() {
+                    bounds.push((t, ch1));
                 }
             }
         }
-        if self.skip_overshoot > Ps::ZERO {
-            w = (w + self.skip_overshoot).min(t_end);
+        self.bounds_buf = bounds;
+        if self.cfg.debug_skip_overshoot > Ps::ZERO {
+            w = (w + self.cfg.debug_skip_overshoot).min(t_end);
         }
         let w = w.max(step_end);
         if w > step_end {
@@ -781,16 +770,6 @@ impl System {
         Ok(w)
     }
 
-    /// Test hook for the negative-control suite: widens every event-skip
-    /// jump by `extra`, deliberately overshooting event horizons
-    /// (quantum ends included) to prove a broken engine is caught by the
-    /// replay auditor and invariant checkers. Never enable outside
-    /// tests.
-    #[doc(hidden)]
-    pub fn debug_skip_overshoot(&mut self, extra: Ps) {
-        self.skip_overshoot = extra;
-    }
-
     /// Engine telemetry for the run so far: loop iterations and the
     /// skip-decision breakdown. Diagnostic only — never checkpointed or
     /// hashed, so reading it cannot perturb replay equivalence.
@@ -799,14 +778,16 @@ impl System {
     }
 
     /// Test hook: capacities of the reusable hot-loop buffers
-    /// `(trace, completions)` plus the inflight table's slot count.
-    /// Steady-state stepping must not grow any of them — the allocation
-    /// regression tests pin that by sampling before and after a window.
+    /// `(trace, completions, skip bounds)` plus the inflight table's
+    /// slot count. Steady-state stepping must not grow any of them — the
+    /// allocation regression tests pin that by sampling before and after
+    /// a window.
     #[doc(hidden)]
-    pub fn debug_buffer_capacities(&self) -> (usize, usize, usize) {
+    pub fn debug_buffer_capacities(&self) -> (usize, usize, usize, usize) {
         (
             self.trace_buf.capacity(),
             self.comp_buf.capacity(),
+            self.bounds_buf.capacity(),
             self.inflight.slot_capacity(),
         )
     }
@@ -1062,7 +1043,7 @@ impl System {
     /// contributes to the fingerprint that guards restoration.
     pub fn checkpoint(&self, mix: &WorkloadMix) -> Checkpoint {
         Checkpoint {
-            fingerprint: config_fingerprint(&self.cfg, mix),
+            fingerprint: job_fingerprint(&self.cfg, mix),
             state: self.export_state(),
         }
     }
@@ -1079,7 +1060,7 @@ impl System {
         mix: &WorkloadMix,
         cp: &Checkpoint,
     ) -> Result<Self, RefsimError> {
-        cp.check_fingerprint(config_fingerprint(&cfg, mix))
+        cp.check_fingerprint(job_fingerprint(&cfg, mix))
             .map_err(|e| RefsimError::Checkpoint(e.to_string()))?;
         let mut sys = Self::try_new(cfg, mix)?;
         sys.import_state(&cp.state)

@@ -30,12 +30,12 @@ use refsim_dram::time::Ps;
 use refsim_workloads::mix::WorkloadMix;
 use refsim_workloads::profiles::Benchmark;
 
-use crate::checkpoint::{config_fingerprint, Checkpoint};
+use crate::checkpoint::Checkpoint;
 use crate::codec;
 use crate::config::SystemConfig;
 use crate::error::RefsimError;
 use crate::experiment::Job;
-use crate::runcache::{CacheEntry, CacheLookup, RunCache};
+use crate::runcache::{job_fingerprint, CacheEntry, CacheLookup, RunCache};
 use crate::sweep::{run_many_resilient, SweepOptions, SweepReport};
 use crate::vfs::{std_vfs, FaultSchedule, FaultVfs, OpRecord, Vfs};
 
@@ -549,7 +549,7 @@ pub fn run_point(
     let fingerprints: Vec<u64> = scn
         .jobs
         .iter()
-        .map(|j| config_fingerprint(&j.cfg, &j.mix))
+        .map(|j| job_fingerprint(&j.cfg, &j.mix))
         .collect();
     let verdict = judge(scn, &dir, k, mode, reference, attempt, &fingerprints);
     let _ = std::fs::remove_dir_all(&dir);

@@ -20,7 +20,7 @@
 //!   reproducer-grade name.
 
 use proptest::prelude::*;
-use refsim_core::checkpoint::{config_fingerprint, Checkpoint, CheckpointError, SavedSystem};
+use refsim_core::checkpoint::{Checkpoint, CheckpointError, SavedSystem};
 use refsim_core::config::SystemConfig;
 use refsim_core::experiment::{run_many_checked, Job};
 use refsim_core::runcache::{job_fingerprint, CacheEntry, CacheLookup, RunCache};
@@ -158,7 +158,7 @@ fn real_image_round_trips_and_fingerprint_gate_is_typed() {
     let cp = Checkpoint::from_bytes(real_image()).expect("real image parses");
     let cfg = tiny_cfg(0xC0FFEE);
     let mix = tiny_mix();
-    cp.check_fingerprint(config_fingerprint(&cfg, &mix))
+    cp.check_fingerprint(job_fingerprint(&cfg, &mix))
         .expect("the captured fingerprint matches its own (cfg, mix)");
     let err = cp
         .check_fingerprint(cp.fingerprint ^ 1)

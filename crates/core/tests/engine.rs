@@ -130,11 +130,12 @@ fn two_channel_run_is_quiet_under_full_audit() {
 }
 
 /// Negative control: an engine that overshoots its event horizons (here
-/// forced via the `debug_skip_overshoot` hook, widening every jump past
-/// quantum ends) must be *caught* — the run either trips an invariant
-/// checker outright or lands on a different machine state than the
-/// fixed-step reference, which the replay auditor reports as a hash
-/// divergence. A silent pass would mean the proof harness is vacuous.
+/// forced via `SystemConfig::with_debug_skip_overshoot`, widening every
+/// jump past quantum ends) must be *caught* — the run either trips an
+/// invariant checker outright or lands on a different machine state
+/// than the fixed-step reference, which the replay auditor reports as a
+/// hash divergence. A silent pass would mean the proof harness is
+/// vacuous.
 #[test]
 fn overshooting_engine_is_caught() {
     let base = quick(SystemConfig::table1());
@@ -142,14 +143,14 @@ fn overshooting_engine_is_caught() {
     let end = base.warmup + base.measure;
     let (_, h_ref) = run_once(&base.clone().with_engine(EngineKind::FixedStep), &mix);
 
+    // One full step of overshoot: every skip lands one 250 ns lattice
+    // point past the true horizon, sailing through quantum boundaries.
     let cfg = base
         .clone()
         .with_engine(EngineKind::EventSkip)
-        .with_audit(AuditLevel::Full);
+        .with_audit(AuditLevel::Full)
+        .with_debug_skip_overshoot(Ps::from_ns(250));
     let mut sys = System::try_new(cfg, &mix).expect("build");
-    // One full step of overshoot: every skip lands one 250 ns lattice
-    // point past the true horizon, sailing through quantum boundaries.
-    sys.debug_skip_overshoot(Ps::from_ns(250));
     let outcome = sys.try_run_until(end);
     let caught = match outcome {
         // The invariant layer (sanitizer / watchdog) fired — ideal.
@@ -172,8 +173,11 @@ fn overshoot_hook_is_inert_under_fixed_step() {
     let mix = small_mix();
     let (m_ref, h_ref) = run_once(&cfg, &mix);
 
-    let mut sys = System::try_new(cfg.clone(), &mix).expect("build");
-    sys.debug_skip_overshoot(Ps::from_ns(250));
+    let mut sys = System::try_new(
+        cfg.clone().with_debug_skip_overshoot(Ps::from_ns(250)),
+        &mix,
+    )
+    .expect("build");
     sys.try_run_until(cfg.warmup).expect("warmup");
     sys.begin_measure();
     sys.try_run_until(cfg.warmup + cfg.measure)
@@ -234,8 +238,8 @@ fn inflight_id_reuse_across_restore_is_bit_identical() {
 }
 
 /// Allocation surgery: once warmed up, the hot loop's reusable buffers
-/// (DRAM trace, completion drain, inflight slots) must stop growing —
-/// steady-state stepping performs zero allocations in the
+/// (DRAM trace, completion drain, skip bounds, inflight slots) must stop
+/// growing — steady-state stepping performs zero allocations in the
 /// core ⇄ controller plumbing.
 #[test]
 fn hot_loop_buffers_reach_steady_state() {
@@ -250,7 +254,8 @@ fn hot_loop_buffers_reach_steady_state() {
     let caps = sys.debug_buffer_capacities();
     assert!(caps.0 > 0, "trace buffer must be exercised");
     assert!(caps.1 > 0, "completion buffer must be exercised");
-    assert!(caps.2 > 0, "inflight table must be exercised");
+    assert!(caps.2 > 0, "skip-bounds buffer must be exercised");
+    assert!(caps.3 > 0, "inflight table must be exercised");
     sys.try_run_until(end).expect("second window");
     assert_eq!(
         caps,

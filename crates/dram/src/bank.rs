@@ -49,21 +49,18 @@ pub struct SavedBank {
     pub activations: u64,
 }
 
-/// Sentinel in [`BankLanes`]' open-row lane meaning "no row open".
-///
-/// Real row indices are bounded by the geometry's rows-per-bank (far
-/// below `u32::MAX`), so a single compare against the lane both tests
-/// row identity and excludes closed banks.
-pub const NO_ROW: u32 = u32::MAX;
+/// Sentinel in [`BankLanes`]' open-row lane meaning "no row open" (real
+/// row indices are bounded by the geometry's rows-per-bank, far below
+/// `u32::MAX`).
+const NO_ROW: u32 = u32::MAX;
 
 /// Struct-of-arrays timing state for every bank of one channel.
 ///
 /// Each per-bank timing field is one contiguous lane indexed by flat
-/// bank id. The controller's planner walks the hot lanes (`phase`,
-/// `open_row`, `next_cas`, `next_pre`, `next_act`, `busy_until`) as
-/// plain slices — a batched scan with no per-bank struct stride and no
-/// cold counter fields polluting the cache lines it touches. The
-/// per-lane methods mirror a one-struct-per-bank reference kept in the
+/// bank id, so the controller's planner, which reads the hot lanes
+/// (`phase`, `open_row`, `next_cas`, `next_pre`, `next_act`,
+/// `busy_until`) once per queue entry, touches no cold counter fields.
+/// The per-lane methods mirror a one-struct-per-bank reference kept in the
 /// unit tests operation for operation (pinned by the
 /// `lanes_mirror_bank_exactly` test).
 ///
@@ -271,46 +268,6 @@ impl BankLanes {
         self.next_act[i] = at + trfc;
         self.rows_refreshed[i] += u64::from(rows);
         self.refresh_busy_total[i] += trfc;
-    }
-
-    // Lane slices for the batched planner. Callers treat them as
-    // read-only snapshots between mutations.
-
-    /// Per-lane phases.
-    #[inline]
-    pub fn phase_lanes(&self) -> &[BankPhase] {
-        &self.phase
-    }
-
-    /// Per-lane open rows ([`NO_ROW`] when closed).
-    #[inline]
-    pub fn row_lanes(&self) -> &[u32] {
-        &self.open_row
-    }
-
-    /// Per-lane earliest-CAS floors (meaningful while Active).
-    #[inline]
-    pub fn cas_lanes(&self) -> &[Ps] {
-        &self.next_cas
-    }
-
-    /// Per-lane earliest-PRE floors (meaningful while Active).
-    #[inline]
-    pub fn pre_lanes(&self) -> &[Ps] {
-        &self.next_pre
-    }
-
-    /// Per-lane earliest-ACT floors (pre-max with `busy_until` via
-    /// [`earliest_act`](BankLanes::earliest_act) while Refreshing).
-    #[inline]
-    pub fn act_lanes(&self) -> &[Ps] {
-        &self.next_act
-    }
-
-    /// Per-lane refresh-end instants (meaningful while Refreshing).
-    #[inline]
-    pub fn busy_lanes(&self) -> &[Ps] {
-        &self.busy_until
     }
 
     /// Captures lane `i` in the [`SavedBank`] checkpoint image.

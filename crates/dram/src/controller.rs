@@ -11,14 +11,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::bank::{BankLanes, BankPhase, RankState, SavedBank, SavedRank, NO_ROW};
+use crate::bank::{BankLanes, BankPhase, RankState, SavedBank, SavedRank};
 use crate::error::{ControllerSnapshot, DramError};
 use crate::geometry::BankId;
 use crate::integrity::{IntegrityConfig, RefreshFaults, RetentionTracker, SavedTracker};
 use crate::mapping::AddressMapping;
-use crate::refresh::{
-    BusyForecast, PolicyTable, QueueSnapshot, RefreshOp, RefreshPolicy, RefreshPolicyKind,
-};
+use crate::refresh::{BusyForecast, QueueSnapshot, RefreshOp, RefreshPolicy, RefreshPolicyKind};
 use crate::request::{Completion, MemRequest, ReqId, ReqKind};
 use crate::stats::ControllerStats;
 use crate::time::Ps;
@@ -222,14 +220,6 @@ struct PendingRefresh {
     injected_delay: Ps,
 }
 
-/// Serving-queue depth at or below which the controller plans via the
-/// scalar walk instead of the lane scan: the scan's fixed setup
-/// (rank floors + a full `act_floor` pass) beats the walk only once a
-/// handful of entries share it. Only the queue FR-FCFS is actually
-/// serving counts — a deep write queue behind a read-serving walk
-/// contributes no per-entry work.
-const SMALL_PLAN_QUEUE: usize = 6;
-
 /// A memoized planning decision: the result of [`MemoryController::plan`]
 /// at a given cursor, valid until the next state mutation.
 #[derive(Debug, Clone, Copy)]
@@ -238,21 +228,6 @@ struct PlanCache {
     cursor: Ps,
     /// The cached decision.
     result: Option<(Ps, Action)>,
-}
-
-/// Reusable scratch for the batched planner: per-rank issue floors
-/// hoisted out of the queue walk (every entry on a rank shares them).
-/// Kept on the controller so steady-state planning allocates nothing.
-#[derive(Debug, Default)]
-struct PlanScratch {
-    /// Earliest ACT per rank (tRRD / tFAW window / refresh lockout).
-    rank_act: Vec<Ps>,
-    /// Earliest CAS issue per rank for the direction being served
-    /// (turnaround + data-bus handoff, minus the CAS latency).
-    rank_cas: Vec<Ps>,
-    /// Earliest-ACT floor per bank ([`Ps::MAX`]-sentinel for Active
-    /// banks, which must precharge first).
-    act_floor: Vec<Ps>,
 }
 
 /// The next thing the controller will do.
@@ -319,12 +294,8 @@ pub struct MemoryController {
     ranks: Vec<RankState>,
     banks_per_rank: u32,
 
-    /// Cached decision table of the active refresh policy.
-    policy_table: PolicyTable,
     /// Memoized plan, invalidated on any mutation or cursor change.
     plan_cache: Option<PlanCache>,
-    /// Allocation-free scratch for the batched planner.
-    scratch: PlanScratch,
 
     read_q: Vec<Entry>,
     write_q: Vec<Entry>,
@@ -375,7 +346,6 @@ impl MemoryController {
                 Self::default_integrity_config(&refresh_timing),
             )
         });
-        let policy_table = policy.table();
         MemoryController {
             mapping,
             timing,
@@ -385,9 +355,7 @@ impl MemoryController {
             lanes: BankLanes::new(n_banks),
             ranks: (0..g.ranks_per_channel).map(|_| RankState::new()).collect(),
             banks_per_rank: g.banks_per_rank,
-            policy_table,
             plan_cache: None,
-            scratch: PlanScratch::default(),
             read_q: Vec::with_capacity(cfg.read_queue),
             write_q: Vec::with_capacity(cfg.write_queue),
             draining: false,
@@ -1010,19 +978,13 @@ impl MemoryController {
         // Rolling can change last_utilization and (for adaptive-style
         // policies) the refresh schedule itself.
         self.plan_cache = None;
-        // Decision table: the utilization callback is a no-op for every
-        // policy that does not observe it — skip the virtual dispatch.
-        let observe = self.policy_table.observes_utilization;
         while self.epoch_start + epoch <= now {
             let busy = self.epoch_bus_busy.min(epoch);
             self.last_utilization = busy.as_ps() as f64 / epoch.as_ps() as f64;
             self.epoch_bus_busy = self.epoch_bus_busy.saturating_sub(busy);
             self.epoch_start += epoch;
-            let u = self.last_utilization;
-            let t = self.epoch_start;
-            if observe {
-                self.policy.observe_utilization(u, t);
-            }
+            self.policy
+                .observe_utilization(self.last_utilization, self.epoch_start);
         }
     }
 
@@ -1054,30 +1016,13 @@ impl MemoryController {
     /// restore — each clears the memo). This removes the double planning
     /// pass the engines otherwise pay per step (`next_event_time`
     /// followed by the advance itself).
-    ///
-    /// The planner is selected by occupancy: the batched scan
-    /// pre-computes per-rank floors and a full `act_floor` lane pass, a
-    /// fixed cost that only amortizes once the walk visits enough queue
-    /// entries. Near-empty queues (the stall-serialized regime: one or
-    /// two dependent loads in flight) plan cheaper through the scalar
-    /// walk. Both planners are bit-identical, so this is a pure cost
-    /// choice; the memo covers either result.
     fn plan(&mut self) -> Option<(Ps, Action)> {
         if let Some(c) = &self.plan_cache {
             if c.cursor == self.cursor {
                 return c.result;
             }
         }
-        let serving_depth = if self.draining || self.read_q.is_empty() {
-            self.write_q.len()
-        } else {
-            self.read_q.len()
-        };
-        let result = if serving_depth <= SMALL_PLAN_QUEUE {
-            self.plan_scalar()
-        } else {
-            self.plan_batched()
-        };
+        let result = self.plan_uncached();
         self.plan_cache = Some(PlanCache {
             cursor: self.cursor,
             result,
@@ -1085,11 +1030,9 @@ impl MemoryController {
         result
     }
 
-    /// Considers refresh machinery (priority 0) for either planner:
-    /// settles in-scope banks at the cursor, proposes PREs for open
-    /// in-scope banks, and proposes the refresh itself once the scope is
-    /// idle. `consider`-equivalent tie-breaking is preserved by visiting
-    /// candidates in the same order as the original single-pass walk.
+    /// Considers refresh machinery (priority 0): settles in-scope banks
+    /// at the cursor, proposes PREs for open in-scope banks, and proposes
+    /// the refresh itself once the scope is idle.
     fn plan_refresh_candidates(&mut self, best: &mut Option<(Ps, u8, Action)>) {
         let consider = Self::consider;
         if let Some(p) = &self.pending_refresh {
@@ -1157,11 +1100,11 @@ impl MemoryController {
         }
     }
 
-    /// The scalar planner: walks the queue reading one bank's state at a
-    /// time through the per-lane accessors. [`plan`](Self::plan) runs it
-    /// for queues at or below [`SMALL_PLAN_QUEUE`] entries, where the
-    /// batched planner's fixed per-plan setup does not pay off.
-    fn plan_scalar(&mut self) -> Option<(Ps, Action)> {
+    /// The FR-FCFS planner behind [`plan`](Self::plan)'s memo: proposes
+    /// the refresh machinery's candidates, then walks the serving queue
+    /// in order, reading each entry's bank through the per-lane
+    /// accessors, and keeps the earliest candidate.
+    fn plan_uncached(&mut self) -> Option<(Ps, Action)> {
         let mut best: Option<(Ps, u8, Action)> = None; // (time, priority, action)
 
         // Refresh machinery (priority 0).
@@ -1229,133 +1172,15 @@ impl MemoryController {
         best.map(|(t, _, a)| (t, a))
     }
 
-    /// The batched planner: the same decision procedure as
-    /// [`plan_scalar`](Self::plan_scalar), restructured around the
-    /// [`BankLanes`] arrays. Per-bank ready-times are computed by one
-    /// contiguous scan over the lanes, and per-rank issue floors (tFAW
-    /// window, turnaround, data-bus handoff) are hoisted out of the
-    /// queue walk — the scalar walk recomputes both per queue entry.
-    /// Candidate visit order matches the scalar walk exactly, so
-    /// tie-breaking (and therefore the command schedule) is
-    /// bit-identical; a unit test below enforces this across every
-    /// refresh policy.
-    fn plan_batched(&mut self) -> Option<(Ps, Action)> {
-        let mut best: Option<(Ps, u8, Action)> = None; // (time, priority, action)
-
-        // Refresh machinery (priority 0) — shared with the scalar
-        // planner; the scope spans at most one rank's lanes.
-        self.plan_refresh_candidates(&mut best);
-
-        let serving_writes = self.draining || self.read_q.is_empty();
-        let queue: &[Entry] = if serving_writes {
-            &self.write_q
-        } else {
-            &self.read_q
-        };
-        if queue.is_empty() {
-            return best.map(|(t, _, a)| (t, a));
-        }
-
-        // Hoist per-rank floors: every entry on a rank shares them.
-        let lat = if serving_writes {
-            self.timing.tcwl
-        } else {
-            self.timing.tcl
-        };
-        let data_bus_free = self.data_bus_free;
-        let data_bus_owner = self.data_bus_owner;
-        let trtrs = self.timing.trtrs;
-        self.scratch.rank_act.clear();
-        self.scratch.rank_cas.clear();
-        for (r, rk) in self.ranks.iter().enumerate() {
-            self.scratch.rank_act.push(rk.earliest_act(&self.timing));
-            let rank_ready = if serving_writes {
-                rk.earliest_wr()
-            } else {
-                rk.earliest_rd()
-            };
-            let mut bus_free = data_bus_free;
-            if let Some(owner) = data_bus_owner {
-                if owner != r as u8 {
-                    bus_free += trtrs;
-                }
-            }
-            self.scratch
-                .rank_cas
-                .push(rank_ready.max(bus_free.saturating_sub(lat)));
-        }
-
-        // One contiguous scan over the lanes: the earliest-ACT floor per
-        // bank (Ps::MAX marks Active banks, which must precharge first).
-        self.scratch.act_floor.clear();
-        let phases = self.lanes.phase_lanes();
-        let acts = self.lanes.act_lanes();
-        let busys = self.lanes.busy_lanes();
-        for f in 0..phases.len() {
-            self.scratch.act_floor.push(match phases[f] {
-                BankPhase::Active => Ps::MAX,
-                BankPhase::Refreshing => busys[f].max(acts[f]),
-                BankPhase::Idle => acts[f],
-            });
-        }
-
-        let scope = self
-            .pending_refresh
-            .as_ref()
-            .map(|p| self.refresh_scope(&p.op));
-        let rows = self.lanes.row_lanes();
-        let cas_l = self.lanes.cas_lanes();
-        let pre_l = self.lanes.pre_lanes();
-        for (idx, e) in queue.iter().enumerate() {
-            let flat = self.flat(e.req.loc.bank_id());
-            if let Some((lo, hi)) = scope {
-                if flat >= lo && flat < hi {
-                    continue; // scope frozen until the refresh issues
-                }
-            }
-            let rank = e.req.loc.rank as usize;
-            let arr = e.req.arrival;
-            // `rows[flat]` folds the phase check into the row compare:
-            // the lane holds NO_ROW unless the bank is Active with a row
-            // latched, so one compare classifies hit vs conflict.
-            if rows[flat] == e.req.loc.row {
-                let t = self.align(cas_l[flat].max(self.scratch.rank_cas[rank]).max(arr));
-                Self::consider(Some((t, 1, Action::Cas { idx, flat })), &mut best);
-            } else if rows[flat] != NO_ROW {
-                let t = self.align(pre_l[flat].max(arr));
-                Self::consider(Some((t, 2, Action::Pre { idx, flat })), &mut best);
-            } else {
-                let act0 = self.scratch.act_floor[flat];
-                debug_assert_ne!(act0, Ps::MAX, "Active bank with no open row");
-                let t = self.align(act0.max(self.scratch.rank_act[rank]).max(arr));
-                Self::consider(Some((t, 2, Action::Act { idx, flat })), &mut best);
-            }
-        }
-
-        best.map(|(t, _, a)| (t, a))
-    }
-
     fn execute(&mut self, action: Action, at: Ps) -> Result<(), DramError> {
         // Every action mutates scheduling state; the memoized plan dies.
         self.plan_cache = None;
         match action {
             Action::SelectRefresh => {
-                // Decision table: when neither `select` nor
-                // `try_postpone` reads queue occupancy the per-bank scan
-                // is dead work — hand over an empty snapshot instead.
-                let snap = if !self.policy_table.reads_queue {
-                    QueueSnapshot {
-                        per_bank_queued: Vec::new(),
-                        utilization: self.last_utilization,
-                    }
-                } else {
-                    self.snapshot()
-                };
+                let snap = self.snapshot();
                 // Elastic-style policies may defer the refresh into a
                 // quieter moment (bounded internally); re-plan if so.
-                // Policies whose table says they never postpone skip the
-                // virtual probe (it always answers `false`).
-                if self.policy_table.postpones && self.policy.try_postpone(&snap, at) {
+                if self.policy.try_postpone(&snap, at) {
                     return Ok(());
                 }
                 let op = self.policy.select(&snap);
@@ -1849,26 +1674,16 @@ mod tests {
     }
 
     /// Runs `c` to `target` exactly like `advance_loop`, but at every
-    /// plan point asks both planners and the memoized dispatcher and
-    /// requires all three to agree. Returns how many plan points found
-    /// a serving queue deeper than [`SMALL_PLAN_QUEUE`] (where `plan`
-    /// dispatches to the lane scan).
-    fn advance_comparing_planners(c: &mut MemoryController, target: Ps) -> u64 {
-        let mut deep = 0;
+    /// plan point requires the memoized [`MemoryController::plan`] to
+    /// equal an uncached plan. Leaves the memo filled at `target`, as
+    /// `next_event_time` does between engine steps, so a later mutation
+    /// that forgot to clear it is caught at the next plan point.
+    fn advance_checking_memo(c: &mut MemoryController, target: Ps) {
         loop {
             c.roll_epochs(target);
-            let serving = if c.draining || c.read_q.is_empty() {
-                c.write_q.len()
-            } else {
-                c.read_q.len()
-            };
-            deep += u64::from(serving > SMALL_PLAN_QUEUE);
-            let scalar = c.plan_scalar();
-            let batched = c.plan_batched();
-            let dispatched = c.plan();
-            assert_eq!(scalar, batched, "planners diverged at {:?}", c.cursor);
-            assert_eq!(dispatched, scalar, "plan() diverged at {:?}", c.cursor);
-            match dispatched {
+            let memoized = c.plan();
+            assert_eq!(memoized, c.plan_uncached(), "stale plan at {:?}", c.cursor);
+            match memoized {
                 Some((at, action)) if at <= target => {
                     c.cursor = at;
                     c.execute(action, at).expect("execute");
@@ -1878,11 +1693,11 @@ mod tests {
         }
         c.cursor = target;
         c.roll_epochs(target);
-        deep
+        let _ = c.plan();
     }
 
     #[test]
-    fn planners_agree_at_every_plan_point_for_every_policy() {
+    fn memoized_plan_matches_an_uncached_plan_for_every_policy() {
         use crate::timing::FgrMode;
         let policies = [
             RefreshPolicyKind::NoRefresh,
@@ -1912,11 +1727,11 @@ mod tests {
                         .wrapping_add(1442695040888963407);
                     x >> 16
                 };
-                let (mut t, mut id, mut deep) = (Ps::ZERO, 0u64, 0u64);
+                let (mut t, mut id) = (Ps::ZERO, 0u64);
                 while t < Ps::from_us(150) {
-                    deep += advance_comparing_planners(&mut c, t);
-                    // Bursts of 0-11 requests over a few hot rows keep
-                    // both shallow and deep queues, hits and conflicts.
+                    advance_checking_memo(&mut c, t);
+                    // Bursts of 0-11 requests over a few hot rows mix
+                    // row hits, conflicts and write drains.
                     for _ in 0..next() % 12 {
                         let r = next();
                         let paddr = (r % 64) * 0x2_0000 + (r >> 8) % 32 * 64;
@@ -1931,7 +1746,6 @@ mod tests {
                     let _ = c.drain_completions();
                     t += Ps::from_ns(400);
                 }
-                assert!(deep > 0, "{policy:?}: no plan point reached the lane scan");
             }
         }
     }

@@ -166,17 +166,6 @@ mod tests {
     use super::*;
     use crate::timing::{Density, Retention};
 
-    #[test]
-    fn decision_table_matches_overrides() {
-        // Adaptive is the only policy reacting to utilization feedback;
-        // it never postpones and its `select` ignores the queue
-        // snapshot, so the controller may hand it an empty one.
-        let t = policy().table();
-        assert!(t.observes_utilization);
-        assert!(!t.postpones);
-        assert!(!t.reads_queue);
-    }
-
     fn policy() -> AdaptiveRefresh {
         AdaptiveRefresh::new(
             &RefreshTiming::new(Density::Gb32, Retention::Ms64),

@@ -134,24 +134,6 @@ mod tests {
     use super::*;
     use crate::timing::{Density, Retention};
 
-    #[test]
-    fn decision_table_matches_overrides() {
-        // All-bank (and its FGR variants) exercises none of the optional
-        // hooks: the controller may skip snapshot construction and the
-        // postpone probe entirely.
-        let fgr = AllBankPolicy::fgr(
-            &RefreshTiming::new(Density::Gb32, Retention::Ms64),
-            &Geometry::default(),
-            FgrMode::X2,
-        );
-        for p in [policy(), fgr] {
-            let t = p.table();
-            assert!(!t.observes_utilization);
-            assert!(!t.postpones);
-            assert!(!t.reads_queue);
-        }
-    }
-
     fn policy() -> AllBankPolicy {
         AllBankPolicy::new(
             &RefreshTiming::new(Density::Gb32, Retention::Ms64),

@@ -149,17 +149,6 @@ mod tests {
     use super::*;
     use crate::timing::{Density, Retention};
 
-    #[test]
-    fn decision_table_matches_overrides() {
-        // Elastic postpones due refreshes and its `try_postpone` reads
-        // per-bank queue occupancy, so the controller must keep building
-        // real snapshots for it.
-        let t = policy().table();
-        assert!(!t.observes_utilization);
-        assert!(t.postpones);
-        assert!(t.reads_queue);
-    }
-
     fn policy() -> ElasticRefresh {
         ElasticRefresh::new(
             &RefreshTiming::new(Density::Gb32, Retention::Ms64),

@@ -91,7 +91,8 @@ pub enum BusyForecast {
 }
 
 /// Snapshot of controller state a policy may consult when selecting a
-/// target (used by [`OooPerBank`]; cheap to build).
+/// target or deciding to postpone (used by [`OooPerBank`] and
+/// [`ElasticRefresh`]).
 #[derive(Debug, Clone, Default)]
 pub struct QueueSnapshot {
     /// Outstanding requests per bank, indexed by
@@ -139,63 +140,6 @@ impl fmt::Display for RefreshPolicyKind {
     }
 }
 
-/// Precomputed per-policy decision table consulted by the controller's
-/// tick path.
-///
-/// Every flag records whether the policy *ever* exercises an optional
-/// trait hook, letting the hot path skip the virtual dispatch and the
-/// argument construction (most expensively the per-bank queue-occupancy
-/// scan behind [`QueueSnapshot`]) for policies that provably ignore
-/// them. Skipping a hook a policy never uses cannot change behavior —
-/// each policy module carries a unit test pinning its row of the table
-/// to its actual overrides.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PolicyTable {
-    /// [`RefreshPolicy::observe_utilization`] is overridden (the policy
-    /// reacts to epoch-utilization feedback).
-    pub observes_utilization: bool,
-    /// [`RefreshPolicy::try_postpone`] is overridden and may return
-    /// `true` (the policy can defer a due refresh).
-    pub postpones: bool,
-    /// [`RefreshPolicy::select`] or [`RefreshPolicy::try_postpone`]
-    /// reads [`QueueSnapshot::per_bank_queued`]; when `false` the
-    /// controller hands over an empty snapshot instead of scanning both
-    /// transaction queues.
-    pub reads_queue: bool,
-}
-
-impl PolicyTable {
-    /// The decision table for `kind` — one row per refresh policy.
-    pub fn for_kind(kind: RefreshPolicyKind) -> Self {
-        match kind {
-            RefreshPolicyKind::NoRefresh
-            | RefreshPolicyKind::AllBank
-            | RefreshPolicyKind::PerBankRoundRobin
-            | RefreshPolicyKind::PerBankSequential
-            | RefreshPolicyKind::Fgr(_) => PolicyTable {
-                observes_utilization: false,
-                postpones: false,
-                reads_queue: false,
-            },
-            RefreshPolicyKind::OooPerBank => PolicyTable {
-                observes_utilization: false,
-                postpones: false,
-                reads_queue: true,
-            },
-            RefreshPolicyKind::Adaptive => PolicyTable {
-                observes_utilization: true,
-                postpones: false,
-                reads_queue: false,
-            },
-            RefreshPolicyKind::Elastic => PolicyTable {
-                observes_utilization: false,
-                postpones: true,
-                reads_queue: true,
-            },
-        }
-    }
-}
-
 /// A refresh scheduling policy driven by the memory controller.
 ///
 /// The controller calls [`next_due`](RefreshPolicy::next_due); once the
@@ -205,12 +149,6 @@ impl PolicyTable {
 pub trait RefreshPolicy: fmt::Debug + Send {
     /// Which policy this is.
     fn kind(&self) -> RefreshPolicyKind;
-
-    /// The hot-path decision table for this policy (cached by the
-    /// controller at construction; see [`PolicyTable`]).
-    fn table(&self) -> PolicyTable {
-        PolicyTable::for_kind(self.kind())
-    }
 
     /// Instant the next refresh command becomes due, or `None` if the
     /// policy never refreshes.
@@ -355,30 +293,6 @@ mod tests {
         ] {
             let p = build_policy(kind, &timing, &g);
             assert_eq!(p.kind(), kind, "factory must preserve kind");
-        }
-    }
-
-    #[test]
-    fn decision_table_defaults_and_dispatch() {
-        // NoRefresh exercises none of the optional hooks.
-        let t = NoRefresh.table();
-        assert!(!t.observes_utilization && !t.postpones && !t.reads_queue);
-        // The factory-built boxes report the same rows as the static
-        // derivation (the default `table` body routes through `kind`).
-        let timing = RefreshTiming::new(Density::Gb32, Retention::Ms64);
-        let g = Geometry::default();
-        for kind in [
-            RefreshPolicyKind::NoRefresh,
-            RefreshPolicyKind::AllBank,
-            RefreshPolicyKind::PerBankRoundRobin,
-            RefreshPolicyKind::PerBankSequential,
-            RefreshPolicyKind::OooPerBank,
-            RefreshPolicyKind::Fgr(FgrMode::X2),
-            RefreshPolicyKind::Adaptive,
-            RefreshPolicyKind::Elastic,
-        ] {
-            let p = build_policy(kind, &timing, &g);
-            assert_eq!(p.table(), PolicyTable::for_kind(kind), "{kind}");
         }
     }
 

@@ -195,16 +195,6 @@ mod tests {
     use super::*;
     use crate::timing::{Density, Retention};
 
-    #[test]
-    fn decision_table_matches_overrides() {
-        // Out-of-order target selection reads per-bank queue occupancy;
-        // the other hooks stay at their defaults.
-        let t = policy().table();
-        assert!(!t.observes_utilization);
-        assert!(!t.postpones);
-        assert!(t.reads_queue);
-    }
-
     fn policy() -> OooPerBank {
         OooPerBank::new(
             &RefreshTiming::new(Density::Gb32, Retention::Ms64),

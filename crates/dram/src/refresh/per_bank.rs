@@ -342,20 +342,6 @@ mod tests {
     use super::*;
     use crate::timing::{Density, Retention};
 
-    #[test]
-    fn decision_table_matches_overrides() {
-        // Both per-bank schedules pick targets from their own cursors —
-        // no utilization feedback, no postponement, no queue reads.
-        let g = Geometry::default();
-        let rr = PerBankRoundRobin::new(&timing(), &g);
-        let seq = PerBankSequential::new(&timing(), &g);
-        for t in [rr.table(), seq.table()] {
-            assert!(!t.observes_utilization);
-            assert!(!t.postpones);
-            assert!(!t.reads_queue);
-        }
-    }
-
     fn timing() -> RefreshTiming {
         RefreshTiming::new(Density::Gb32, Retention::Ms64)
     }
