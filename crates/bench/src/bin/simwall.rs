@@ -27,7 +27,8 @@
 //!   reference scenario and is no slower than fixed-step (to timing
 //!   jitter) everywhere else; with `--threads`, also enforces the
 //!   ≥ 1.4× sweep-scaling floor at 2 workers when the host has that
-//!   many cores (the JSON records the measured host class either way).
+//!   many cores (the JSON records the measured host class either way),
+//!   timing a 1-worker baseline even when `LIST` leaves 1 out.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -309,6 +310,12 @@ fn main() {
             }
             other => panic!("unknown flag {other}; try --help"),
         }
+    }
+
+    // Speedups are over the smallest worker count timed; the scaling
+    // floor means speedup over one worker.
+    if check && !threads_list.is_empty() && !threads_list.contains(&1) {
+        threads_list.insert(0, 1);
     }
 
     let base = SystemConfig::table1().with_time_scale(scale);

@@ -4,9 +4,10 @@
 //! simulator does not need) and its default hasher allocates per map.
 //! Request ids are sequential `u64`s, so the hot `inflight` table in
 //! [`crate::system::System`] — one insert and one remove per LLC miss —
-//! wants the cheapest possible mixing. FNV-1a over the 8 key bytes
-//! distributes sequential keys well and is already this workspace's
-//! standard hash (checkpoints, replay state digests).
+//! wants the cheapest possible mixing; each core's MSHR line table,
+//! keyed by line address, takes the same traffic. FNV-1a over the 8 key
+//! bytes distributes sequential keys well and is already this
+//! workspace's standard hash (checkpoints, replay state digests).
 //!
 //! The table uses linear probing with backward-shift deletion (no
 //! tombstones, so long-lived maps never degrade), grows at ⅞ load, and

@@ -11,8 +11,6 @@
 //! the hardware's per-bank refresh slices so the refresh-aware scheduler
 //! (Algorithm 3) can dodge the bank being refreshed.
 
-use std::collections::HashMap;
-
 use refsim_cpu::core::ExecContext;
 use refsim_cpu::hierarchy::{CacheHierarchy, HierOutcome};
 use refsim_dram::backend::{build_backend, MemoryBackend};
@@ -128,7 +126,7 @@ struct CoreSlot {
     sched_base: Ps,
     quantum_end: Ps,
     /// Lines with an in-flight fill (MSHR coalescing).
-    inflight_lines: HashMap<u64, ReqId>,
+    inflight_lines: FnvMap<ReqId>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -339,7 +337,7 @@ impl System {
                 current: None,
                 sched_base: Ps::ZERO,
                 quantum_end: Ps::ZERO,
-                inflight_lines: HashMap::new(),
+                inflight_lines: FnvMap::new(),
             })
             .collect();
         let n = mix.len();
@@ -570,7 +568,7 @@ impl System {
                 self.mcs[ch].drain_completions_into(&mut comp);
                 for done in &comp {
                     if let Some((task, core, line)) = self.inflight.remove(done.id.0) {
-                        self.cores[core as usize].inflight_lines.remove(&line);
+                        self.cores[core as usize].inflight_lines.remove(line);
                         self.sims[task as usize].ctx.on_completion(
                             &self.cfg.core,
                             done.id,
@@ -825,7 +823,7 @@ impl System {
                 let mut lines: Vec<(u64, u64)> = core
                     .inflight_lines
                     .iter()
-                    .map(|(&line, &id)| (line, id.0))
+                    .map(|(line, id)| (line, id.0))
                     .collect();
                 lines.sort_unstable();
                 SavedCore {
@@ -957,11 +955,10 @@ impl System {
             core.current = saved.current;
             core.sched_base = saved.sched_base;
             core.quantum_end = saved.quantum_end;
-            core.inflight_lines = saved
-                .inflight_lines
-                .iter()
-                .map(|&(line, id)| (line, ReqId(id)))
-                .collect();
+            core.inflight_lines.clear();
+            for &(line, id) in &saved.inflight_lines {
+                core.inflight_lines.insert(line, ReqId(id));
+            }
         }
         for (t, saved) in self.os_tasks.iter_mut().zip(&s.tasks) {
             t.state = match saved.state {
@@ -1438,7 +1435,7 @@ impl System {
         let sim = &mut self.sims[cur];
         let now = sim.ctx.now();
         sim.ctx.set_now(now + self.cfg.fault_cost);
-        Ok(t.mm.translate(vaddr).expect("just mapped"))
+        Ok(page.frame * PAGE_BYTES + vaddr % PAGE_BYTES)
     }
 
     /// Translates `vaddr` for task `cur`: consults the task's [`Tlb`]
@@ -1488,7 +1485,7 @@ impl System {
             // MSHR coalescing: a fill for this line is already in
             // flight — treat as an L2 hit (data arrives with the
             // earlier fill).
-            if self.cores[c].inflight_lines.contains_key(&line) {
+            if self.cores[c].inflight_lines.contains_key(line) {
                 self.sims[cur].ctx.on_l2_hit(&self.cfg.core);
                 p.fill = None;
             } else {

@@ -996,6 +996,26 @@ impl MemoryController {
             .round_up(self.timing.tck)
     }
 
+    /// [`align`](Self::align)s a priority-`prio` candidate at `raw`, or
+    /// returns `None` when it would lose to `best` anyway: alignment
+    /// never moves a time earlier, so a candidate whose unaligned lower
+    /// bound does not beat `best` cannot beat it aligned. Skipping those
+    /// saves the division by `tCK` for most queue entries.
+    fn align_unless_beaten(
+        &self,
+        raw: Ps,
+        prio: u8,
+        best: &Option<(Ps, u8, Action)>,
+    ) -> Option<Ps> {
+        let lo = raw.max(self.cmd_bus_free).max(self.cursor);
+        if let Some((bt, bp, _)) = best {
+            if lo > *bt || (lo == *bt && prio >= *bp) {
+                return None;
+            }
+        }
+        Some(lo.round_up(self.timing.tck))
+    }
+
     /// Earliest instant the data bus allows a column command at `t_cas`,
     /// whose data occupies `[t_cas + lat, t_cas + lat + tBURST)`.
     fn bus_ready_cas(&self, rank: u8, lat: Ps) -> Ps {
@@ -1145,27 +1165,31 @@ impl MemoryController {
                 } else {
                     self.timing.tcl
                 };
-                let t = self.align(
-                    cas0.max(rank_ready)
-                        .max(self.bus_ready_cas(rank, lat))
-                        .max(arr),
-                );
-                Self::consider(Some((t, 1, Action::Cas { idx, flat })), &mut best);
+                let raw = cas0
+                    .max(rank_ready)
+                    .max(self.bus_ready_cas(rank, lat))
+                    .max(arr);
+                if let Some(t) = self.align_unless_beaten(raw, 1, &best) {
+                    Self::consider(Some((t, 1, Action::Cas { idx, flat })), &mut best);
+                }
             } else if self.lanes.phase(flat) == BankPhase::Active {
                 // Row conflict → PRE (priority 2, FCFS order by queue pos).
                 let Some(pre) = self.lanes.earliest_pre(flat) else {
                     continue;
                 };
-                let t = self.align(pre.max(arr));
-                Self::consider(Some((t, 2, Action::Pre { idx, flat })), &mut best);
+                if let Some(t) = self.align_unless_beaten(pre.max(arr), 2, &best) {
+                    Self::consider(Some((t, 2, Action::Pre { idx, flat })), &mut best);
+                }
             } else {
                 // Idle or refreshing → ACT when possible.
                 let act0 = match self.lanes.earliest_act(flat) {
                     Some(t) => t,
                     None => continue,
                 };
-                let t = self.align(act0.max(rk.earliest_act(&self.timing)).max(arr));
-                Self::consider(Some((t, 2, Action::Act { idx, flat })), &mut best);
+                let raw = act0.max(rk.earliest_act(&self.timing)).max(arr);
+                if let Some(t) = self.align_unless_beaten(raw, 2, &best) {
+                    Self::consider(Some((t, 2, Action::Act { idx, flat })), &mut best);
+                }
             }
         }
 
@@ -1694,6 +1718,44 @@ mod tests {
         c.cursor = target;
         c.roll_epochs(target);
         let _ = c.plan();
+    }
+
+    /// The planner's skip drops only candidates that `consider` would
+    /// reject once aligned, ties at the best time included, and hands
+    /// every other candidate its aligned time.
+    #[test]
+    fn align_unless_beaten_skips_only_losing_candidates() {
+        let mut c = mc(RefreshPolicyKind::AllBank);
+        // Quarter cycles, so some candidates and bests sit on a cycle edge.
+        let tck = c.timing.tck.as_ps();
+        let grid: Vec<Ps> = (0..16u64).map(|k| Ps(tck * k / 4)).collect();
+        let mut skipped = 0;
+        for (&bus, &cursor) in grid.iter().zip(grid.iter().rev()).step_by(3) {
+            c.cmd_bus_free = bus;
+            c.cursor = cursor;
+            let bests = std::iter::once(None)
+                .chain(grid.iter().flat_map(|&bt| {
+                    (0..=2u8).map(move |bp| Some((bt, bp, Action::SelectRefresh)))
+                }));
+            for best in bests {
+                for &raw in &grid {
+                    for prio in 1..=2u8 {
+                        let t = c.align(raw);
+                        let beats = match best {
+                            None => true,
+                            Some((bt, bp, _)) => t < bt || (t == bt && prio < bp),
+                        };
+                        let got = c.align_unless_beaten(raw, prio, &best);
+                        if beats || got.is_some() {
+                            assert_eq!(got, Some(t), "raw {raw} prio {prio} best {best:?}");
+                        } else {
+                            skipped += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(skipped > 0);
     }
 
     #[test]

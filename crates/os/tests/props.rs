@@ -1,6 +1,7 @@
 //! Property-based tests for the OS substrate.
 
-use std::collections::BTreeSet;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use proptest::prelude::*;
 
@@ -12,6 +13,48 @@ use refsim_os::buddy::{BuddyAllocator, MAX_ORDER};
 use refsim_os::partition::{plan, verify_coverage, PartitionInput, PartitionPlan};
 use refsim_os::sched::{SchedPolicy, Scheduler};
 use refsim_os::task::{Task, TaskId};
+use refsim_os::vm::AddressSpace;
+
+/// Largest VPN the page table accepts.
+const MAX_VPN: u64 = u32::MAX as u64 - 1;
+
+/// One step of a random page-table script.
+#[derive(Debug, Clone)]
+enum VmOp {
+    /// Map `vaddr`'s page to `frame` unless it is already mapped.
+    Map { vaddr: u64, frame: u64 },
+    /// Translate `vaddr`, mapped or not.
+    Translate { vaddr: u64 },
+    /// Save and restore into a fresh address space.
+    RoundTrip,
+}
+
+/// Addresses on a few dozen pages, so scripts revisit mapped pages,
+/// mixed with pages anywhere in the 32-bit VPN range; any page offset.
+fn arb_vaddr() -> impl Strategy<Value = u64> {
+    let vpn = prop_oneof![0u64..48, 0u64..=MAX_VPN];
+    (vpn, 0u64..4096).prop_map(|(vpn, offset)| vpn * 4096 + offset)
+}
+
+fn arb_vm_ops() -> impl Strategy<Value = Vec<VmOp>> {
+    // `Map` is listed twice so that scripts grow the table through
+    // several doublings.
+    prop::collection::vec(
+        prop_oneof![
+            (arb_vaddr(), any::<u32>()).prop_map(|(vaddr, frame)| VmOp::Map {
+                vaddr,
+                frame: u64::from(frame),
+            }),
+            (arb_vaddr(), any::<u32>()).prop_map(|(vaddr, frame)| VmOp::Map {
+                vaddr,
+                frame: u64::from(frame),
+            }),
+            arb_vaddr().prop_map(|vaddr| VmOp::Translate { vaddr }),
+            Just(VmOp::RoundTrip),
+        ],
+        1..300,
+    )
+}
 
 /// Random alloc/free workload against the buddy allocator, checking the
 /// core invariants after every operation.
@@ -284,4 +327,69 @@ proptest! {
             );
         }
     }
+
+    /// The page table behaves like a `HashMap<vpn, frame>` model through
+    /// maps, translations, growth and checkpoint round trips.
+    #[test]
+    fn page_table_matches_a_hashmap_model(ops in arb_vm_ops()) {
+        let mut mm = AddressSpace::new();
+        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut faults = 0u64;
+        for op in ops {
+            match op {
+                VmOp::Map { vaddr, frame } => {
+                    if let Entry::Vacant(e) = model.entry(vaddr / 4096) {
+                        e.insert(frame);
+                        mm.map(vaddr, frame);
+                        faults += 1;
+                    }
+                }
+                VmOp::Translate { vaddr } => {
+                    let want = model.get(&(vaddr / 4096)).map(|f| f * 4096 + vaddr % 4096);
+                    prop_assert_eq!(mm.translate(vaddr), want, "vaddr {:#x}", vaddr);
+                }
+                VmOp::RoundTrip => {
+                    let saved = mm.save_state();
+                    let mut twin = AddressSpace::new();
+                    prop_assert!(twin.restore_state(&saved).is_ok());
+                    prop_assert_eq!(twin.save_state(), saved);
+                    mm = twin;
+                }
+            }
+            prop_assert_eq!(mm.resident_pages(), model.len() as u64);
+            prop_assert_eq!(mm.faults(), faults);
+            let listed: BTreeMap<u64, u64> = mm.mappings().collect();
+            prop_assert_eq!(listed.len(), model.len(), "mappings() repeats an entry");
+            prop_assert_eq!(listed, model.iter().map(|(&v, &f)| (v, f)).collect::<BTreeMap<_, _>>());
+        }
+        let sorted: Vec<(u64, u64)> = model.into_iter().collect::<BTreeMap<_, _>>().into_iter().collect();
+        prop_assert_eq!(mm.save_state().pages, sorted);
+    }
+}
+
+/// One all-bank mcf task maps 37,063 pages; its page table must stay
+/// within 65,536 slots of 8 bytes (a `HashMap<u64, u64>` of the same
+/// count holds about twice that).
+#[test]
+fn page_table_footprint_for_one_mcf_task() {
+    const PAGES: usize = 37_063;
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut seen = HashSet::with_capacity(PAGES);
+    let mut mm = AddressSpace::new();
+    while seen.len() < PAGES {
+        // xorshift64 over mcf's 1.74 GB footprint (under 2^19 pages).
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        let vpn = state % (1 << 19);
+        if seen.insert(vpn) {
+            mm.map(vpn * 4096, seen.len() as u64);
+        }
+    }
+    assert_eq!(mm.resident_pages(), PAGES as u64);
+    assert!(
+        mm.page_table_bytes() <= 65_536 * 8,
+        "page table holds {} bytes for {PAGES} pages",
+        mm.page_table_bytes()
+    );
 }
