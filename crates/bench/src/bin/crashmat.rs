@@ -1,8 +1,8 @@
-//! Crash-matrix CLI: enumerate kill points across every persistence
-//! surface and prove the durability contract holds at each one.
+//! Crash-matrix CLI: enumerate kill points across the run cache's I/O
+//! and prove the durability contract holds at each one.
 //!
-//! Runs the representative resilient sweep of
-//! `refsim_core::vfs::crashtest` behind a fault-injecting filesystem,
+//! Runs the cached sweep of `refsim_core::vfs::crashtest` behind a
+//! fault-injecting filesystem,
 //! crashing (or degrading) it at every I/O operation index, then
 //! scanning the aftermath and restarting on a clean filesystem. Any
 //! contract violation — a panic, a torn file at a final path, a
@@ -16,9 +16,9 @@
 //! * `--mode M[,M...]` — restrict to specific modes;
 //! * `--stride N` — test every Nth operation index;
 //! * `--point K` — test exactly one crash point (reproducer mode);
-//! * `--negative-control` — defeat rename atomicity on the metrics
-//!   surface (`crash-defeat-rename`) at every metrics-publish rename
-//!   and *require* the harness to flag it — proof the scan has teeth;
+//! * `--negative-control` — defeat rename atomicity on the cache
+//!   entries (`crash-defeat-rename`) at every `.run` publish rename and
+//!   *require* the harness to flag every one — proof the scan has teeth;
 //! * `--seed S` — scenario + fault-schedule seed;
 //! * `--report PATH` — append the full per-point log to a text file
 //!   (written atomically);
@@ -26,7 +26,7 @@
 //!   directory under the system temp dir).
 //!
 //! Exits non-zero on any violation, or — under `--negative-control` —
-//! when the deliberately broken rename goes *undetected*.
+//! when any deliberately broken rename goes *undetected*.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -151,7 +151,7 @@ fn log_matrix(log: &mut String, scenario: &str, seed: u64, matrix: &CrashMatrix)
 fn main() {
     let args = parse_args(std::env::args().skip(1));
     // Exhaustive (stride 1) runs enumerate the dense scenario — a few
-    // hundred crash points; everything else uses the tiny one. An
+    // dozen crash points per mode; everything else uses the tiny one. An
     // explicit --scenario wins, so reproducer lines replay faithfully.
     let scenario = args.scenario.clone().unwrap_or_else(|| {
         if args.stride == 1 && args.point.is_none() && !args.negative_control {
@@ -172,19 +172,19 @@ fn main() {
     let mut failed = false;
 
     if args.negative_control {
-        // Defeat rename atomicity on the metrics surface and crash on
-        // every metrics-publish rename: the scan MUST flag at least one
-        // torn destination, or the whole matrix is security theater.
-        let reference = reference_rows(&scn).expect("reference sweep");
-        let (_, oplog) = probe(&scn, &root).expect("probe sweep");
+        // Defeat rename atomicity on the cache entries and crash on
+        // every entry-publish rename: the scan MUST flag each torn
+        // destination, or the whole matrix is security theater.
+        let reference = reference_rows(&scn);
+        let (_, oplog) = probe(&scn, &root);
         let renames: Vec<u64> = oplog
             .iter()
-            .filter(|r| r.op == IoOp::Rename && r.path.to_string_lossy().ends_with(".metrics"))
+            .filter(|r| r.op == IoOp::Rename && r.path.to_string_lossy().ends_with(".run"))
             .map(|r| r.index)
             .collect();
         assert!(
             !renames.is_empty(),
-            "the scenario never published metrics via rename"
+            "the scenario never published a cache entry via rename"
         );
         let mut detected = 0usize;
         for &k in &renames {
@@ -200,8 +200,8 @@ fn main() {
             renames.len()
         );
         print!("{log}");
-        if detected == 0 {
-            eprintln!("FAIL: a non-atomic rename on the metrics surface went undetected");
+        if detected < renames.len() {
+            eprintln!("FAIL: a non-atomic rename of a cache entry went undetected");
             std::process::exit(1);
         }
         write_report(&args, &log);
@@ -210,7 +210,7 @@ fn main() {
 
     if let Some(k) = args.point {
         // Reproducer mode: one point, full detail.
-        let reference = reference_rows(&scn).expect("reference sweep");
+        let reference = reference_rows(&scn);
         for &mode in &args.modes {
             let p = run_point(&scn, &root, k, mode, &reference);
             println!(
@@ -235,12 +235,12 @@ fn main() {
         let stride = if args.stride == 0 {
             // --quick: size the stride off a probe so every mode tests
             // about QUICK_POINTS indices across the full range.
-            let (total, _) = probe(&scn, &root).expect("probe sweep");
+            let (total, _) = probe(&scn, &root);
             (total / QUICK_POINTS).max(1)
         } else {
             args.stride
         };
-        let matrix = enumerate(&scn, &root, stride, mode).expect("enumerate");
+        let matrix = enumerate(&scn, &root, stride, mode);
         log_matrix(&mut log, &scenario, args.seed, &matrix);
         let (mut clean, mut degraded) = (0usize, 0usize);
         for p in &matrix.points {

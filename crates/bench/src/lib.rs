@@ -168,25 +168,19 @@ impl Cli {
     }
 }
 
-/// Splices [`refsim_core::executor::ExecutorStats`] into the cache
-/// telemetry JSON: historical cache fields stay at the top level, the
-/// executor counters nest under an `"executor"` key.
-///
-/// # Panics
-///
-/// Panics if the cache JSON is not a brace-terminated object.
+/// The `--stats-out` artifact: one JSON object holding the cache
+/// telemetry fields at the top level and the executor counters nested
+/// under an `"executor"` key.
 #[must_use]
 pub fn combined_stats_json(
     cache: &refsim_core::runcache::CacheStats,
     exec: &refsim_core::executor::ExecutorStats,
 ) -> String {
-    let cache_json = cache.to_json();
-    let body = cache_json
-        .trim_end()
-        .strip_suffix('}')
-        .expect("cache stats JSON ends with an object brace")
-        .trim_end();
-    format!("{body},\n  \"executor\": {}\n}}\n", exec.to_json("  "))
+    format!(
+        "{{\n{},\n  \"executor\": {}\n}}\n",
+        cache.json_members(),
+        exec.to_json("  ")
+    )
 }
 
 #[cfg(test)]
@@ -238,21 +232,63 @@ mod tests {
 
     #[test]
     fn stats_artifact_nests_executor_under_the_cache_fields() {
-        let cache = refsim_core::runcache::CacheStats::default();
-        let exec = refsim_core::executor::ExecutorStats {
-            workers: 4,
-            items: 16,
-            ..Default::default()
+        let cache = refsim_core::runcache::CacheStats {
+            requested: 40,
+            deduped: 8,
+            executed: 21,
+            hits: 11,
+            misses: 21,
+            misses_absent: 18,
+            misses_corrupt: 2,
+            misses_io: 1,
+            stores: 20,
+            store_failures: 1,
+            bypassed: 3,
+            verified: 1,
+            verify_failures: 0,
+            bytes_read: 5120,
+            bytes_written: 9216,
+            saved_nanos: 1_500_000_000,
         };
-        let json = combined_stats_json(&cache, &exec);
-        assert!(json.contains("\"hit_rate\""), "cache fields stay top-level");
-        assert!(json.contains("\"executor\": {"), "executor object nested");
-        assert!(json.contains("\"workers\": 4"));
-        assert!(json.trim_end().ends_with('}'), "well-formed object");
-        assert_eq!(
-            json.matches("\"executor\"").count(),
-            1,
-            "exactly one executor key"
-        );
+        let exec = refsim_core::executor::ExecutorStats {
+            workers: 2,
+            items: 29,
+            local_pops: 25,
+            steals: 4,
+            requeues: 1,
+            tail_ms: [3, 5, 8, 6, 4, 2, 1, 0, 0],
+        };
+        // The bytes consumers of `--stats-out` read: cache fields at the
+        // top level, the executor object nested under one key.
+        let want = "{
+  \"requested\": 40,
+  \"deduped\": 8,
+  \"executed\": 21,
+  \"hits\": 11,
+  \"misses\": 21,
+  \"misses_absent\": 18,
+  \"misses_corrupt\": 2,
+  \"misses_io\": 1,
+  \"stores\": 20,
+  \"store_failures\": 1,
+  \"bypassed\": 3,
+  \"verified\": 1,
+  \"verify_failures\": 0,
+  \"bytes_read\": 5120,
+  \"bytes_written\": 9216,
+  \"saved_nanos\": 1500000000,
+  \"dedup_factor\": 1.9048,
+  \"hit_rate\": 0.3438,
+  \"executor\": {
+    \"workers\": 2,
+    \"items\": 29,
+    \"local_pops\": 25,
+    \"steals\": 4,
+    \"requeues\": 1,
+    \"tail_ms\": [3, 5, 8, 6, 4, 2, 1, 0, 0]
+  }
+}
+";
+        assert_eq!(combined_stats_json(&cache, &exec), want);
     }
 }

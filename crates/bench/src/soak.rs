@@ -485,9 +485,8 @@ pub fn run_soak(opts: &SoakOptions) -> SoakReport {
 /// sequence, reduce the salt to a concrete operation index, inject the
 /// drawn fault there, and map the harness verdict onto soak outcomes —
 /// clean resume is a `pass`, graceful degradation is a `caught`
-/// negative control, a contract violation is `VIOLATED`, and any
-/// harness error is a crash. Violations carry a `crashmat` reproducer
-/// command line in `error`.
+/// negative control, and a contract violation is `VIOLATED`.
+/// Violations carry a `crashmat` reproducer command line in `error`.
 pub fn run_crash_scenario(s: &Scenario) -> ScenarioResult {
     let ScenarioClass::Crashmat { mode, point_salt } = s.class else {
         panic!("run_crash_scenario takes a crashmat scenario");
@@ -498,21 +497,19 @@ pub fn run_crash_scenario(s: &Scenario) -> ScenarioResult {
         std::process::id(),
         s.seed
     ));
-    let outcome = (|| -> Result<(u64, Verdict), String> {
-        let reference = reference_rows(&scn).map_err(|e| e.to_string())?;
-        let (total, _) = probe(&scn, &root).map_err(|e| e.to_string())?;
-        let k = point_salt % total.max(1);
-        Ok((k, run_point(&scn, &root, k, mode, &reference).verdict))
-    })();
+    let reference = reference_rows(&scn);
+    let (total, _) = probe(&scn, &root);
+    let k = point_salt % total.max(1);
+    let verdict = run_point(&scn, &root, k, mode, &reference).verdict;
     let _ = std::fs::remove_dir_all(&root);
-    let (outcome, label, error) = match outcome {
-        Ok((k, Verdict::Resumed)) => (Outcome::Pass, format!("crashmat {mode} @op {k}"), None),
-        Ok((k, Verdict::Degraded(why))) => (
+    let (outcome, label, error) = match verdict {
+        Verdict::Resumed => (Outcome::Pass, format!("crashmat {mode} @op {k}"), None),
+        Verdict::Degraded(why) => (
             Outcome::Caught,
             format!("crashmat {mode} @op {k}: {why}"),
             None,
         ),
-        Ok((k, Verdict::Violation(why))) => (
+        Verdict::Violation(why) => (
             Outcome::Violated,
             format!("crashmat {mode} @op {k}"),
             Some(format!(
@@ -521,7 +518,6 @@ pub fn run_crash_scenario(s: &Scenario) -> ScenarioResult {
                 s.seed
             )),
         ),
-        Err(e) => (Outcome::Crashed, format!("crashmat {mode}"), Some(e)),
     };
     ScenarioResult {
         seed: s.seed,

@@ -1,4 +1,4 @@
-//! Crash-safe checkpoint images of a whole [`crate::system::System`].
+//! Checkpoint images of a whole [`crate::system::System`].
 //!
 //! A checkpoint captures **dynamic state only**: the configuration and
 //! workload mix are *not* stored. Restoring means rebuilding a fresh
@@ -28,7 +28,6 @@
 //! same step segmentation.
 
 use std::fmt;
-use std::path::Path;
 
 use refsim_dram::backend::SavedBackend;
 use refsim_dram::time::Ps;
@@ -41,7 +40,6 @@ use refsim_cpu::core::SavedExecContext;
 use refsim_cpu::hierarchy::SavedHierarchy;
 
 use crate::codec::{self, CodecError, Dec, Enc, Snapshot};
-use crate::vfs::{self, StdVfs, Vfs, VfsError};
 
 /// Magic number opening every checkpoint image.
 pub const MAGIC: [u8; 4] = *b"RFSM";
@@ -358,19 +356,6 @@ pub enum CheckpointError {
     Codec(CodecError),
     /// The decoded state was rejected by the target system.
     Import(String),
-    /// Filesystem failure reading or writing the image, classified by
-    /// operation, path, and cause.
-    Io(VfsError),
-}
-
-impl CheckpointError {
-    /// The underlying filesystem error, when this is an I/O failure.
-    pub fn as_io(&self) -> Option<&VfsError> {
-        match self {
-            CheckpointError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for CheckpointError {
@@ -394,7 +379,6 @@ impl fmt::Display for CheckpointError {
             ),
             CheckpointError::Codec(e) => write!(f, "checkpoint payload: {e}"),
             CheckpointError::Import(why) => write!(f, "checkpoint rejected on import: {why}"),
-            CheckpointError::Io(e) => write!(f, "checkpoint i/o: {e}"),
         }
     }
 }
@@ -403,7 +387,6 @@ impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CheckpointError::Codec(e) => Some(e),
-            CheckpointError::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -494,48 +477,6 @@ impl Checkpoint {
             });
         }
         Ok(())
-    }
-
-    /// Writes the image to `path` crash-safely via
-    /// [`crate::vfs::write_atomic`]: the bytes land in a uniquely named
-    /// `.tmp` sibling first and are renamed into place, so a crash
-    /// mid-write can never leave a torn file at `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        self.save_with(&StdVfs, path)
-    }
-
-    /// [`Checkpoint::save`] through an explicit filesystem.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] on filesystem failure.
-    pub fn save_with(&self, vfs: &dyn Vfs, path: &Path) -> Result<(), CheckpointError> {
-        vfs::write_atomic(vfs, path, &self.to_bytes()).map_err(CheckpointError::Io)
-    }
-
-    /// Reads and verifies an image from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] on filesystem failure or any parse/verify
-    /// failure of [`Checkpoint::from_bytes`].
-    pub fn load(path: &Path) -> Result<Self, CheckpointError> {
-        Self::load_with(&StdVfs, path)
-    }
-
-    /// [`Checkpoint::load`] through an explicit filesystem.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError`] on filesystem failure or any parse/verify
-    /// failure of [`Checkpoint::from_bytes`].
-    pub fn load_with(vfs: &dyn Vfs, path: &Path) -> Result<Self, CheckpointError> {
-        let bytes = vfs.read(path).map_err(CheckpointError::Io)?;
-        Self::from_bytes(&bytes)
     }
 }
 
@@ -664,31 +605,5 @@ mod tests {
                 stored: 0xAA
             })
         ));
-    }
-
-    #[test]
-    fn save_and_load_via_tempfile() {
-        let dir = std::env::temp_dir().join("refsim-checkpoint-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cp.rfsm");
-        let cp = Checkpoint {
-            fingerprint: 3,
-            state: tiny_state(),
-        };
-        cp.save(&path).expect("save");
-        let litter = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .file_name()
-                    .to_string_lossy()
-                    .ends_with(".tmp")
-            })
-            .count();
-        assert_eq!(litter, 0, "tmp must be renamed away");
-        let back = Checkpoint::load(&path).expect("load");
-        assert_eq!(back, cp);
-        std::fs::remove_file(&path).ok();
     }
 }

@@ -76,11 +76,6 @@ pub enum RefsimError {
     Panicked(String),
     /// A checkpoint image could not be written, read, or imported.
     Checkpoint(String),
-    /// A persistence surface hit a classified filesystem failure (see
-    /// [`crate::vfs::VfsError`]): which operation, on which path,
-    /// failed how. Transient ([`crate::vfs::VfsErrorKind::Interrupted`])
-    /// failures are retryable; ENOSPC and crash-point failures are not.
-    Io(crate::vfs::VfsError),
     /// The runtime invariant sanitizer found at least one error-severity
     /// violation (see [`crate::sanitize`]). The run's numbers are not
     /// trustworthy, but the simulation itself did not crash.
@@ -112,7 +107,6 @@ impl fmt::Display for RefsimError {
             ),
             RefsimError::Panicked(msg) => write!(f, "simulation panicked: {msg}"),
             RefsimError::Checkpoint(why) => write!(f, "checkpoint error: {why}"),
-            RefsimError::Io(e) => write!(f, "filesystem i/o: {e}"),
             RefsimError::InvariantViolation(report) => {
                 write!(f, "invariant violation: {report}")
             }
@@ -127,7 +121,6 @@ impl std::error::Error for RefsimError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             RefsimError::Dram(e) => Some(e),
-            RefsimError::Io(e) => Some(e),
             _ => None,
         }
     }
@@ -136,12 +129,6 @@ impl std::error::Error for RefsimError {
 impl From<DramError> for RefsimError {
     fn from(e: DramError) -> Self {
         RefsimError::Dram(e)
-    }
-}
-
-impl From<crate::vfs::VfsError> for RefsimError {
-    fn from(e: crate::vfs::VfsError) -> Self {
-        RefsimError::Io(e)
     }
 }
 

@@ -25,7 +25,7 @@ use refsim_os::sched::SchedPolicy;
 use refsim_workloads::mix::{table2, WorkloadMix};
 use refsim_workloads::profiles::Benchmark;
 
-use crate::config::{EngineKind, SystemConfig};
+use crate::config::SystemConfig;
 use crate::error::RefsimError;
 use crate::executor::ExecutorStats;
 use crate::faults::FaultPlan;
@@ -110,11 +110,6 @@ pub struct ExpOptions {
     pub seed: u64,
     /// Worker threads for independent runs.
     pub threads: usize,
-    /// Advancement engine for every job ([`EngineKind::EventSkip`] by
-    /// default; figures are engine-invariant — pinned by the
-    /// engine-equivalence suite — so this knob exists for differential
-    /// A/B sweeps and for timing the engines against each other).
-    pub engine: EngineKind,
     /// Persistent run cache every sweep consults. `None` by default so
     /// unit tests and library callers stay hermetic; the bench CLI
     /// resolves `REFSIM_CACHE_DIR` / `--cache-dir` / `--no-cache` into
@@ -175,7 +170,6 @@ impl ExpOptions {
             workloads: table2(),
             seed: 0x5EED,
             threads: crate::executor::default_threads(),
-            engine: EngineKind::default(),
             cache: None,
             pool: None,
             telemetry: Telemetry::default(),
@@ -200,9 +194,7 @@ impl ExpOptions {
 
     /// The baseline configuration these options imply.
     pub fn base_config(&self) -> SystemConfig {
-        let mut cfg = SystemConfig::table1()
-            .with_time_scale(self.time_scale)
-            .with_engine(self.engine);
+        let mut cfg = SystemConfig::table1().with_time_scale(self.time_scale);
         cfg.seed = self.seed;
         cfg.warmup = cfg.trefw() * u64::from(self.warm_windows);
         cfg.measure = cfg.trefw() * u64::from(self.measure_windows);
@@ -239,14 +231,12 @@ pub fn run_many(jobs: &[Job], threads: usize) -> Vec<RunMetrics> {
 /// completes, and builders turn the error into an error row.
 ///
 /// This is a thin front over [`crate::sweep::run_many_resilient`] with
-/// default options: panicked jobs get one blind retry, deterministic
-/// failures fail fast, and nothing touches disk. Sweeps that need
-/// crash-safe resume call the resilient runner directly with a sweep
-/// directory.
+/// default options: panicked jobs get one blind retry from scratch,
+/// deterministic failures fail fast, and nothing touches disk. Sweeps
+/// that must survive being killed pass a run cache
+/// ([`ExpOptions::cache`]) and rerun over it.
 pub fn run_many_checked(jobs: &[Job], threads: usize) -> Vec<Result<RunMetrics, RefsimError>> {
-    crate::sweep::run_many_resilient(jobs, threads, &crate::sweep::SweepOptions::default())
-        .expect("default sweep options never touch a manifest")
-        .results
+    run_many_resilient(jobs, threads, &SweepOptions::default()).results
 }
 
 /// Sweep options an [`ExpOptions`] implies: default resilience plus its
@@ -265,8 +255,7 @@ pub fn run_jobs(opts: &ExpOptions, jobs: &[Job]) -> Vec<Result<RunMetrics, Refsi
     if let Some(pool) = &opts.pool {
         return pool.run(opts, jobs);
     }
-    let report = run_many_resilient(jobs, opts.threads, &sweep_options(opts))
-        .expect("default sweep options never touch a manifest");
+    let report = run_many_resilient(jobs, opts.threads, &sweep_options(opts));
     opts.telemetry.add(&report.stats);
     opts.telemetry.add_exec(&report.executor);
     report.results
@@ -388,8 +377,7 @@ impl RunPool {
                     // job list is not a pure function of its options).
                     // Run it inline rather than failing the figure.
                     let report =
-                        run_many_resilient(std::slice::from_ref(job), 1, &sweep_options(opts))
-                            .expect("default sweep options never touch a manifest");
+                        run_many_resilient(std::slice::from_ref(job), 1, &sweep_options(opts));
                     opts.telemetry.add(&report.stats);
                     opts.telemetry.add_exec(&report.executor);
                     let r = report.results.into_iter().next().expect("one job in");
@@ -415,8 +403,7 @@ impl RunPool {
             inner.collecting = false;
             (std::mem::take(&mut inner.jobs), inner.requested)
         };
-        let report = run_many_resilient(&jobs, opts.threads, &sweep_options(opts))
-            .expect("default sweep options never touch a manifest");
+        let report = run_many_resilient(&jobs, opts.threads, &sweep_options(opts));
         let mut stats = report.stats;
         stats.requested = requested;
         stats.deduped = requested.saturating_sub(jobs.len() as u64);

@@ -617,17 +617,19 @@ impl CacheStats {
         s
     }
 
-    /// Hand-formatted JSON (the workspace deliberately has no JSON
-    /// dependency), suitable for CI artifact upload.
-    pub fn to_json(&self) -> String {
+    /// The members of the stats' JSON object (the workspace deliberately
+    /// has no JSON dependency), one two-space-indented `"key": value`
+    /// line each, comma-separated, with no braces and no trailing
+    /// newline — so an artifact can compose them with other members.
+    pub fn json_members(&self) -> String {
         format!(
-            "{{\n  \"requested\": {},\n  \"deduped\": {},\n  \"executed\": {},\n  \
+            "  \"requested\": {},\n  \"deduped\": {},\n  \"executed\": {},\n  \
              \"hits\": {},\n  \"misses\": {},\n  \"misses_absent\": {},\n  \
              \"misses_corrupt\": {},\n  \"misses_io\": {},\n  \"stores\": {},\n  \
              \"store_failures\": {},\n  \"bypassed\": {},\n  \
              \"verified\": {},\n  \"verify_failures\": {},\n  \"bytes_read\": {},\n  \
              \"bytes_written\": {},\n  \"saved_nanos\": {},\n  \"dedup_factor\": {:.4},\n  \
-             \"hit_rate\": {:.4}\n}}\n",
+             \"hit_rate\": {:.4}",
             self.requested,
             self.deduped,
             self.executed,
@@ -647,16 +649,6 @@ impl CacheStats {
             self.dedup_factor(),
             self.hit_rate(),
         )
-    }
-
-    /// Writes [`CacheStats::to_json`] to `path` atomically
-    /// ([`crate::vfs::write_atomic`]), like cache entries.
-    ///
-    /// # Errors
-    ///
-    /// The classified filesystem failure.
-    pub fn write_json(&self, path: &Path) -> Result<(), VfsError> {
-        vfs::write_atomic(&crate::vfs::StdVfs, path, self.to_json().as_bytes())
     }
 }
 
@@ -836,7 +828,7 @@ mod tests {
         assert_eq!(a.executed, 10);
         assert!((a.dedup_factor() - 2.0).abs() < 1e-12);
         assert!((a.hit_rate() - 9.0 / 13.0).abs() < 1e-12);
-        let json = a.to_json();
+        let json = a.json_members();
         assert!(json.contains("\"hits\": 9"), "{json}");
         assert!(a.summary().contains("dedup 2.00x"), "{}", a.summary());
     }

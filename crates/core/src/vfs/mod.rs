@@ -1,10 +1,9 @@
 //! Object-safe filesystem abstraction with deterministic fault
 //! injection.
 //!
-//! Every persistence surface in the workspace — checkpoint images
-//! ([`crate::checkpoint`]), run-cache entries ([`crate::runcache`]),
-//! sweep manifests and per-job metrics ([`crate::sweep`]), bench
-//! artifacts — does its I/O through the [`Vfs`] trait. Production code
+//! Every file the workspace persists — run-cache entries
+//! ([`crate::runcache`], the only thing a sweep stores) and bench
+//! artifacts — is written through the [`Vfs`] trait. Production code
 //! uses the passthrough [`StdVfs`]; tests and the crash-point
 //! enumeration harness ([`crashtest`], `bench --bin crashmat`) swap in a
 //! [`FaultVfs`] that injects seed-driven faults from a
@@ -54,8 +53,6 @@ pub enum IoOp {
     Rename,
     /// Recursive directory creation.
     CreateDirAll,
-    /// Directory listing.
-    ReadDir,
     /// File removal.
     Remove,
 }
@@ -67,7 +64,6 @@ impl fmt::Display for IoOp {
             IoOp::Write => "write",
             IoOp::Rename => "rename",
             IoOp::CreateDirAll => "create_dir_all",
-            IoOp::ReadDir => "read_dir",
             IoOp::Remove => "remove",
         };
         f.write_str(s)
@@ -123,12 +119,6 @@ impl VfsError {
             kind,
         }
     }
-
-    /// Whether retrying the operation could plausibly succeed
-    /// (EINTR-style transients only; ENOSPC and crashes reproduce).
-    pub fn is_transient(&self) -> bool {
-        self.kind == VfsErrorKind::Interrupted
-    }
 }
 
 impl fmt::Display for VfsError {
@@ -171,14 +161,6 @@ pub trait Vfs: fmt::Debug + Send + Sync {
     /// [`VfsError`] on filesystem failure.
     fn create_dir_all(&self, path: &Path) -> Result<(), VfsError>;
 
-    /// Lists the entries of directory `path`, sorted by path for
-    /// deterministic iteration order.
-    ///
-    /// # Errors
-    ///
-    /// [`VfsError`] on filesystem failure.
-    fn read_dir(&self, path: &Path) -> Result<Vec<PathBuf>, VfsError>;
-
     /// Removes the file at `path`.
     ///
     /// # Errors
@@ -215,22 +197,6 @@ pub fn write_atomic(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> Result<(), VfsE
         return Err(e);
     }
     vfs.rename(&tmp, path)
-}
-
-/// Reads the file at `path` as UTF-8 text.
-///
-/// # Errors
-///
-/// [`VfsError`]; invalid UTF-8 is reported as [`VfsErrorKind::Other`].
-pub fn read_to_string(vfs: &dyn Vfs, path: &Path) -> Result<String, VfsError> {
-    let bytes = vfs.read(path)?;
-    String::from_utf8(bytes).map_err(|e| {
-        VfsError::new(
-            IoOp::Read,
-            path,
-            VfsErrorKind::Other(format!("invalid utf-8: {e}")),
-        )
-    })
 }
 
 // ---- the real filesystem -------------------------------------------------
@@ -272,18 +238,6 @@ impl Vfs for StdVfs {
     fn create_dir_all(&self, path: &Path) -> Result<(), VfsError> {
         std::fs::create_dir_all(path)
             .map_err(|e| VfsError::new(IoOp::CreateDirAll, path, classify_io(&e)))
-    }
-
-    fn read_dir(&self, path: &Path) -> Result<Vec<PathBuf>, VfsError> {
-        let rd = std::fs::read_dir(path)
-            .map_err(|e| VfsError::new(IoOp::ReadDir, path, classify_io(&e)))?;
-        let mut out = Vec::new();
-        for entry in rd {
-            let entry = entry.map_err(|e| VfsError::new(IoOp::ReadDir, path, classify_io(&e)))?;
-            out.push(entry.path());
-        }
-        out.sort();
-        Ok(out)
     }
 
     fn remove(&self, path: &Path) -> Result<(), VfsError> {
@@ -570,14 +524,6 @@ impl Vfs for FaultVfs {
         self.inner.create_dir_all(path)
     }
 
-    fn read_dir(&self, path: &Path) -> Result<Vec<PathBuf>, VfsError> {
-        let idx = self.begin(IoOp::ReadDir, path)?;
-        if self.crash_tripped(idx) {
-            return Err(VfsError::new(IoOp::ReadDir, path, VfsErrorKind::Crashed));
-        }
-        self.inner.read_dir(path)
-    }
-
     fn remove(&self, path: &Path) -> Result<(), VfsError> {
         let idx = self.begin(IoOp::Remove, path)?;
         if self.crash_tripped(idx) {
@@ -604,6 +550,16 @@ mod tests {
         d
     }
 
+    /// The directory's entries, sorted.
+    fn listing(d: &Path) -> Vec<PathBuf> {
+        let mut out: Vec<PathBuf> = std::fs::read_dir(d)
+            .expect("read_dir")
+            .map(|e| e.expect("entry").path())
+            .collect();
+        out.sort();
+        out
+    }
+
     #[test]
     fn std_vfs_roundtrip_and_classification() {
         let d = tmp_dir("std");
@@ -617,10 +573,9 @@ mod tests {
             v.read(&p).expect_err("moved away").kind,
             VfsErrorKind::NotFound
         );
-        let listed = v.read_dir(&d).expect("read_dir");
-        assert_eq!(listed, vec![q.clone()]);
+        assert_eq!(listing(&d), vec![q.clone()]);
         v.remove(&q).expect("remove");
-        assert_eq!(v.read_dir(&d).expect("read_dir"), Vec::<PathBuf>::new());
+        assert_eq!(listing(&d), Vec::<PathBuf>::new());
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -631,11 +586,7 @@ mod tests {
         let p = d.join("out.bin");
         write_atomic(&v, &p, b"payload").expect("write_atomic");
         assert_eq!(v.read(&p).expect("read"), b"payload");
-        assert_eq!(
-            v.read_dir(&d).expect("read_dir").len(),
-            1,
-            "no temp litter after a clean publish"
-        );
+        assert_eq!(listing(&d).len(), 1, "no temp litter after a clean publish");
         let _ = std::fs::remove_dir_all(&d);
     }
 
@@ -716,7 +667,10 @@ mod tests {
         };
         let v = FaultVfs::over_std(sched);
         let p = d.join("f.bin");
-        assert!(v.write(&p, b"abc").expect_err("op 0").is_transient());
+        assert_eq!(
+            v.write(&p, b"abc").expect_err("op 0").kind,
+            VfsErrorKind::Interrupted
+        );
         assert!(!p.exists(), "a transient leaves no effect");
         let e = v.write(&p, b"abcdef").expect_err("op 1 torn");
         assert!(matches!(e.kind, VfsErrorKind::Other(_)));

@@ -87,12 +87,10 @@ proptest! {
     #[test]
     fn results_are_bit_identical_across_worker_counts(seed in 0u64..1024) {
         let jobs = mixed_jobs(seed);
-        let reference = run_many_resilient(&jobs, 1, &SweepOptions::default())
-            .expect("sweep runs");
+        let reference = run_many_resilient(&jobs, 1, &SweepOptions::default());
         let want = outcome_fingerprints(&reference);
         for threads in THREAD_MATRIX {
-            let rep = run_many_resilient(&jobs, threads, &SweepOptions::default())
-                .expect("sweep runs");
+            let rep = run_many_resilient(&jobs, threads, &SweepOptions::default());
             prop_assert_eq!(&outcome_fingerprints(&rep), &want, "threads={}", threads);
             prop_assert_eq!(rep.quarantined, reference.quarantined);
             prop_assert_eq!(rep.retries, reference.retries);
@@ -112,9 +110,9 @@ proptest! {
                 cache: Some(cache.clone()),
                 ..SweepOptions::default()
             };
-            let cold = run_many_resilient(&jobs, threads, &opts).expect("cold sweep runs");
+            let cold = run_many_resilient(&jobs, threads, &opts);
             let hashes = stored_replay_hashes(&cache, &jobs);
-            let warm = run_many_resilient(&jobs, threads, &opts).expect("warm sweep runs");
+            let warm = run_many_resilient(&jobs, threads, &opts);
             prop_assert_eq!(
                 outcome_fingerprints(&warm),
                 outcome_fingerprints(&cold),

@@ -72,7 +72,7 @@ fn duplicated_jobs_execute_once_and_fan_out_in_order() {
     let b = tiny_job(2);
     let jobs = [a.clone(), b.clone(), a.clone(), a.clone()];
 
-    let report = run_many_resilient(&jobs, 2, &SweepOptions::default()).expect("sweep");
+    let report = run_many_resilient(&jobs, 2, &SweepOptions::default());
     assert_eq!(report.results.len(), 4);
     assert_eq!(
         report.stats.requested, 4,
@@ -99,7 +99,7 @@ fn duplicated_jobs_execute_once_and_fan_out_in_order() {
 #[test]
 fn duplicated_erroring_cell_fans_out_the_error() {
     let jobs = [broken_job(3), tiny_job(4), broken_job(3)];
-    let report = run_many_resilient(&jobs, 2, &SweepOptions::default()).expect("sweep");
+    let report = run_many_resilient(&jobs, 2, &SweepOptions::default());
     assert_eq!(
         report.stats.executed, 2,
         "broken cell runs once, good cell once"
@@ -121,8 +121,7 @@ fn duplicated_erroring_cell_fans_out_the_error() {
 
 /// Golden canonical fingerprint of the Table 1 preset over a fixed mix.
 /// This value may only change together with `runcache::CACHE_SCHEMA`;
-/// an unintentional move here silently invalidates every on-disk cache
-/// and every persisted sweep manifest.
+/// an unintentional move here silently invalidates every on-disk cache.
 #[test]
 fn fingerprint_matches_golden_hash() {
     let job = tiny_job(0xA5A5);
@@ -174,7 +173,7 @@ proptest! {
             }
             9 => {
                 // The perturbation knob bypasses the cache outright, but the
-                // fingerprint must still move so stale manifests can't alias.
+                // fingerprint must still move so no stale entry can alias it.
                 cfg = cfg.with_shadow_drop_every(1 + v);
             }
             _ => unreachable!(),
@@ -221,7 +220,7 @@ fn audited_faulted_and_debug_runs_never_touch_the_cache() {
             cache: Some(cache.clone()),
             ..SweepOptions::default()
         };
-        let report = run_many_resilient(std::slice::from_ref(&job), 1, &opts).expect("sweep");
+        let report = run_many_resilient(std::slice::from_ref(&job), 1, &opts);
         assert!(report.results[0].is_ok(), "{what}: run itself succeeds");
         assert_eq!(report.stats.bypassed, 1, "{what}: must bypass");
         assert_eq!(
@@ -249,7 +248,7 @@ fn warm_cache_serves_every_cell_and_verifies_one() {
         ..SweepOptions::default()
     };
 
-    let cold = run_many_resilient(&jobs, 2, &opts).expect("cold sweep");
+    let cold = run_many_resilient(&jobs, 2, &opts);
     assert_eq!(cold.stats.misses, 2, "cold: every unique cell misses");
     assert_eq!(cold.stats.stores, 2, "cold: every unique cell is stored");
     assert_eq!(cold.stats.executed, 2);
@@ -259,7 +258,7 @@ fn warm_cache_serves_every_cell_and_verifies_one() {
         "two entries, no stray temp files"
     );
 
-    let warm = run_many_resilient(&jobs, 2, &opts).expect("warm sweep");
+    let warm = run_many_resilient(&jobs, 2, &opts);
     assert_eq!(warm.stats.hits, 2, "warm: every unique cell hits");
     assert_eq!(warm.stats.misses, 0);
     assert_eq!(
@@ -284,8 +283,7 @@ fn warm_cache_serves_every_cell_and_verifies_one() {
             verify_sampled: false,
             ..opts
         },
-    )
-    .expect("replay sweep");
+    );
     assert_eq!(replay.stats.executed, 0);
     assert_eq!(replay.stats.hits, 2);
     let _ = std::fs::remove_dir_all(cache.dir());
@@ -303,7 +301,7 @@ fn poisoned_entry_is_caught_by_verification_and_overwritten() {
 
     // Seed the cache honestly, then corrupt the entry's payload while
     // keeping its framing valid: claim a wrong replay hash.
-    let cold = run_many_resilient(std::slice::from_ref(&job), 1, &opts).expect("cold");
+    let cold = run_many_resilient(std::slice::from_ref(&job), 1, &opts);
     let (honest, _) = cache.load(fp).expect("stored entry");
     cache
         .store(&CacheEntry {
@@ -312,7 +310,7 @@ fn poisoned_entry_is_caught_by_verification_and_overwritten() {
         })
         .expect("plant poisoned entry");
 
-    let warm = run_many_resilient(std::slice::from_ref(&job), 1, &opts).expect("warm");
+    let warm = run_many_resilient(std::slice::from_ref(&job), 1, &opts);
     assert_eq!(warm.stats.verify_failures, 1, "the lie must be caught");
     assert_eq!(warm.stats.hits, 0, "a refuted entry is not a hit");
     assert_eq!(
