@@ -194,6 +194,7 @@ fn main() {
                 let _ = writeln!(log, "op {k} detected the defeated rename: {why}");
             }
         }
+        let _ = std::fs::remove_dir_all(&root);
         let _ = writeln!(
             log,
             "negative control: {detected}/{} defeated renames detected",
@@ -221,6 +222,7 @@ fn main() {
                 failed = true;
             }
         }
+        let _ = std::fs::remove_dir_all(&root);
         if failed {
             std::process::exit(1);
         }

@@ -5,9 +5,6 @@
 //!
 //! * `--verify` (default) — run each config twice, expect zero
 //!   divergence at every sampled quantum;
-//! * `--resumed` — interrupt the second run at a mid-run checkpoint,
-//!   serialize, restore, resume; expect zero divergence (exercises the
-//!   full crash/resume codec path);
 //! * `--perturb N` — corrupt the workload RNG at quantum `N` of the
 //!   second run and check the auditor blames the `workloads` component
 //!   at exactly that quantum (negative control).
@@ -15,15 +12,12 @@
 //! Exits non-zero on any contract violation, so CI can gate on it.
 
 use refsim_core::experiment::ExpOptions;
-use refsim_core::replay::{
-    replay_verify, replay_verify_perturbed, replay_verify_resumed, ReplayOptions, ReplayReport,
-};
+use refsim_core::replay::{replay_verify, replay_verify_perturbed, ReplayOptions, ReplayReport};
 use refsim_core::report::Table;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     Verify,
-    Resumed,
     Perturb(u64),
 }
 
@@ -35,7 +29,6 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> (Mode, ExpOptions, bool
     while let Some(a) = it.next() {
         match a.as_str() {
             "--verify" => mode = Mode::Verify,
-            "--resumed" => mode = Mode::Resumed,
             "--perturb" => {
                 let v = it.next().expect("--perturb needs a quantum index");
                 mode = Mode::Perturb(v.parse().expect("--perturb must be an integer"));
@@ -56,7 +49,7 @@ fn parse_args(args: impl IntoIterator<Item = String>) -> (Mode, ExpOptions, bool
             "--csv" => csv = true,
             "--help" | "-h" => {
                 eprintln!(
-                    "flags: [--verify | --resumed | --perturb N] \
+                    "flags: [--verify | --perturb N] \
                      [--quick] [--scale N] [--seed N] [--csv]"
                 );
                 std::process::exit(0);
@@ -72,7 +65,6 @@ fn main() {
     let mut table = Table::new(
         match mode {
             Mode::Verify => "Replay audit: run-twice bit-identity".to_owned(),
-            Mode::Resumed => "Replay audit: checkpoint/resume bit-identity".to_owned(),
             Mode::Perturb(q) => format!("Replay audit: perturbation control (quantum {q})"),
         },
         ["mix", "scheme", "samples", "verdict"],
@@ -86,7 +78,6 @@ fn main() {
             let ropts = ReplayOptions::for_config(&cfg);
             let report = match mode {
                 Mode::Verify => replay_verify(&cfg, mix, &ropts),
-                Mode::Resumed => replay_verify_resumed(&cfg, mix, &ropts),
                 Mode::Perturb(q) => replay_verify_perturbed(&cfg, mix, &ropts, q),
             };
             let (samples, verdict, bad) = match (&mode, report) {

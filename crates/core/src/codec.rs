@@ -1,19 +1,22 @@
-//! Hand-rolled, versioned binary codec for checkpoint images.
+//! Hand-rolled binary codec for machine state and run metrics.
 //!
-//! The vendored `serde` stub cannot derive, so checkpoints use an
-//! explicit little-endian wire format instead: every value implements
-//! [`Snapshot`], writing itself into an [`Enc`] and reading itself back
-//! from a [`Dec`]. The format is deliberately simple — fixed-width
-//! little-endian integers, `u64` length prefixes for sequences, one tag
-//! byte for options and enums — so that the encoding of a given value is
-//! byte-deterministic: encoding the same state twice yields identical
-//! bytes, which is what the replay auditor's per-component hashes (see
-//! [`crate::replay`]) rely on.
+//! The vendored `serde` stub cannot derive, so state uses an explicit
+//! little-endian wire format instead. The format is deliberately simple
+//! — fixed-width little-endian integers, `u64` length prefixes for
+//! sequences, one tag byte for options and enums — so that the encoding
+//! of a given value is byte-deterministic: encoding the same state twice
+//! yields identical bytes, which is what the replay auditor's
+//! per-component hashes (see [`crate::replay`]) rely on.
 //!
-//! Versioning happens at the container level: [`crate::checkpoint`]
-//! frames a payload with a magic number, a format version, a
-//! configuration fingerprint and a checksum. The codec itself is
-//! version-unaware.
+//! Every state type implements [`Encode`], writing itself into an
+//! [`Enc`]; the bytes are only ever hashed. [`Decode`], reading a value
+//! back from a [`Dec`], exists only for what a run-cache entry stores:
+//! the primitives and containers, [`TaskId`], and the [`RunMetrics`]
+//! closure ([`TaskMetrics`], [`ControllerStats`], [`SchedStats`]).
+//!
+//! Versioning happens at the container level: [`crate::runcache`]
+//! frames a payload with a magic number, a format version, a schema
+//! salt and a checksum. The codec itself is version-unaware.
 
 use std::fmt;
 
@@ -23,10 +26,9 @@ use refsim_cpu::hierarchy::{HierStats, SavedHierarchy};
 use refsim_dram::backend::SavedBackend;
 use refsim_dram::bank::{BankPhase, SavedBank, SavedRank};
 use refsim_dram::controller::{SavedController, SavedEntry, SavedPendingRefresh};
-use refsim_dram::geometry::BankId;
 use refsim_dram::integrity::{RetentionViolation, SavedBankTrack, SavedTracker, ViolationKind};
 use refsim_dram::refresh::RefreshOp;
-use refsim_dram::request::{Completion, ReqId};
+use refsim_dram::request::Completion;
 use refsim_dram::shadow::{SavedShadow, SavedShadowBank, SavedShadowRank};
 use refsim_dram::stats::ControllerStats;
 use refsim_dram::time::Ps;
@@ -184,14 +186,18 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Self-describing binary serialization for checkpointable state.
+/// Binary serialization of state and metrics.
 ///
 /// Implemented locally for primitives and for every component crate's
 /// `Saved*` plain-data type, keeping all byte-format knowledge in this
 /// one module.
-pub trait Snapshot: Sized {
+pub trait Encode {
     /// Writes `self` to the stream.
     fn encode(&self, e: &mut Enc);
+}
+
+/// Deserialization of the values a run-cache entry stores.
+pub trait Decode: Sized {
     /// Reads a value back from the stream.
     ///
     /// # Errors
@@ -202,7 +208,7 @@ pub trait Snapshot: Sized {
 }
 
 /// Encodes a value into a fresh byte vector.
-pub fn to_bytes<T: Snapshot>(v: &T) -> Vec<u8> {
+pub fn to_bytes<T: Encode>(v: &T) -> Vec<u8> {
     let mut e = Enc::new();
     v.encode(&mut e);
     e.into_bytes()
@@ -214,7 +220,7 @@ pub fn to_bytes<T: Snapshot>(v: &T) -> Vec<u8> {
 /// # Errors
 ///
 /// [`CodecError`] on truncation, invalid content, or trailing garbage.
-pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T, CodecError> {
+pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T, CodecError> {
     let mut d = Dec::new(bytes);
     let v = T::decode(&mut d)?;
     if d.remaining() != 0 {
@@ -228,10 +234,13 @@ pub fn from_bytes<T: Snapshot>(bytes: &[u8]) -> Result<T, CodecError> {
 
 // ---- primitives -------------------------------------------------------
 
-impl Snapshot for bool {
+impl Encode for bool {
     fn encode(&self, e: &mut Enc) {
         e.put_u8(u8::from(*self));
     }
+}
+
+impl Decode for bool {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         match d.get_u8()? {
             0 => Ok(false),
@@ -241,47 +250,62 @@ impl Snapshot for bool {
     }
 }
 
-impl Snapshot for u8 {
+impl Encode for u8 {
     fn encode(&self, e: &mut Enc) {
         e.put_u8(*self);
     }
+}
+
+impl Decode for u8 {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         d.get_u8()
     }
 }
 
-impl Snapshot for u32 {
+impl Encode for u32 {
     fn encode(&self, e: &mut Enc) {
         e.put_u32(*self);
     }
+}
+
+impl Decode for u32 {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         d.get_u32()
     }
 }
 
-impl Snapshot for u64 {
+impl Encode for u64 {
     fn encode(&self, e: &mut Enc) {
         e.put_u64(*self);
     }
+}
+
+impl Decode for u64 {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         d.get_u64()
     }
 }
 
-impl Snapshot for f64 {
+impl Encode for f64 {
     fn encode(&self, e: &mut Enc) {
         e.put_u64(self.to_bits());
     }
+}
+
+impl Decode for f64 {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(f64::from_bits(d.get_u64()?))
     }
 }
 
-impl Snapshot for String {
+impl Encode for String {
     fn encode(&self, e: &mut Enc) {
         e.put_u64(self.len() as u64);
         e.put_bytes(self.as_bytes());
     }
+}
+
+impl Decode for String {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         let n = d.get_len(1)?;
         let bytes = d.get_bytes(n)?;
@@ -290,16 +314,19 @@ impl Snapshot for String {
     }
 }
 
-impl Snapshot for Ps {
+impl Encode for Ps {
     fn encode(&self, e: &mut Enc) {
         e.put_u64(self.as_ps());
     }
+}
+
+impl Decode for Ps {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(Ps(d.get_u64()?))
     }
 }
 
-impl<T: Snapshot> Snapshot for Option<T> {
+impl<T: Encode> Encode for Option<T> {
     fn encode(&self, e: &mut Enc) {
         match self {
             None => e.put_u8(0),
@@ -309,6 +336,9 @@ impl<T: Snapshot> Snapshot for Option<T> {
             }
         }
     }
+}
+
+impl<T: Decode> Decode for Option<T> {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         match d.get_u8()? {
             0 => Ok(None),
@@ -318,13 +348,16 @@ impl<T: Snapshot> Snapshot for Option<T> {
     }
 }
 
-impl<T: Snapshot> Snapshot for Vec<T> {
+impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, e: &mut Enc) {
         e.put_u64(self.len() as u64);
         for v in self {
             v.encode(e);
         }
     }
+}
+
+impl<T: Decode> Decode for Vec<T> {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         let n = d.get_len(1)?;
         let mut out = Vec::with_capacity(n);
@@ -335,33 +368,42 @@ impl<T: Snapshot> Snapshot for Vec<T> {
     }
 }
 
-impl<A: Snapshot, B: Snapshot> Snapshot for (A, B) {
+impl<A: Encode, B: Encode> Encode for (A, B) {
     fn encode(&self, e: &mut Enc) {
         self.0.encode(e);
         self.1.encode(e);
     }
+}
+
+impl<A: Decode, B: Decode> Decode for (A, B) {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok((A::decode(d)?, B::decode(d)?))
     }
 }
 
-impl<A: Snapshot, B: Snapshot, C: Snapshot> Snapshot for (A, B, C) {
+impl<A: Encode, B: Encode, C: Encode> Encode for (A, B, C) {
     fn encode(&self, e: &mut Enc) {
         self.0.encode(e);
         self.1.encode(e);
         self.2.encode(e);
     }
+}
+
+impl<A: Decode, B: Decode, C: Decode> Decode for (A, B, C) {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok((A::decode(d)?, B::decode(d)?, C::decode(d)?))
     }
 }
 
-impl<T: Snapshot + Copy + Default, const N: usize> Snapshot for [T; N] {
+impl<T: Encode + Copy + Default, const N: usize> Encode for [T; N] {
     fn encode(&self, e: &mut Enc) {
         for v in self {
             v.encode(e);
         }
     }
+}
+
+impl<T: Decode + Copy + Default, const N: usize> Decode for [T; N] {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         let mut out = [T::default(); N];
         for v in &mut out {
@@ -373,39 +415,25 @@ impl<T: Snapshot + Copy + Default, const N: usize> Snapshot for [T; N] {
 
 // ---- workloads --------------------------------------------------------
 
-impl Snapshot for SavedPattern {
+impl Encode for SavedPattern {
     fn encode(&self, e: &mut Enc) {
         self.cursors.encode(e);
         self.next_stream.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedPattern {
-            cursors: Snapshot::decode(d)?,
-            next_stream: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedWorkload {
+impl Encode for SavedWorkload {
     fn encode(&self, e: &mut Enc) {
         self.rng_state.encode(e);
         self.cold.encode(e);
         self.hot_cursor.encode(e);
         e.put_u32(self.mem_credit);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedWorkload {
-            rng_state: Snapshot::decode(d)?,
-            cold: Snapshot::decode(d)?,
-            hot_cursor: Snapshot::decode(d)?,
-            mem_credit: d.get_u32()?,
-        })
-    }
 }
 
 // ---- cpu --------------------------------------------------------------
 
-impl Snapshot for SavedExecContext {
+impl Encode for SavedExecContext {
     fn encode(&self, e: &mut Enc) {
         self.now.encode(e);
         self.issued.encode(e);
@@ -414,163 +442,105 @@ impl Snapshot for SavedExecContext {
         self.stall_time.encode(e);
         self.misses.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedExecContext {
-            now: Snapshot::decode(d)?,
-            issued: Snapshot::decode(d)?,
-            outstanding: Snapshot::decode(d)?,
-            dependent_block: Snapshot::decode(d)?,
-            stall_time: Snapshot::decode(d)?,
-            misses: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedLine {
+impl Encode for SavedLine {
     fn encode(&self, e: &mut Enc) {
         self.tag.encode(e);
         self.valid.encode(e);
         self.dirty.encode(e);
         self.stamp.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedLine {
-            tag: Snapshot::decode(d)?,
-            valid: Snapshot::decode(d)?,
-            dirty: Snapshot::decode(d)?,
-            stamp: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for CacheStats {
+impl Encode for CacheStats {
     fn encode(&self, e: &mut Enc) {
         self.hits.encode(e);
         self.misses.encode(e);
         self.writebacks.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(CacheStats {
-            hits: Snapshot::decode(d)?,
-            misses: Snapshot::decode(d)?,
-            writebacks: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedCache {
+impl Encode for SavedCache {
     fn encode(&self, e: &mut Enc) {
         self.lines.encode(e);
         self.tick.encode(e);
         self.stats.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedCache {
-            lines: Snapshot::decode(d)?,
-            tick: Snapshot::decode(d)?,
-            stats: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for HierStats {
+impl Encode for HierStats {
     fn encode(&self, e: &mut Enc) {
         self.accesses.encode(e);
         self.llc_misses.encode(e);
         self.writebacks.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(HierStats {
-            accesses: Snapshot::decode(d)?,
-            llc_misses: Snapshot::decode(d)?,
-            writebacks: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedHierarchy {
+impl Encode for SavedHierarchy {
     fn encode(&self, e: &mut Enc) {
         self.l1.encode(e);
         self.l2.encode(e);
         self.stats.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedHierarchy {
-            l1: Snapshot::decode(d)?,
-            l2: Snapshot::decode(d)?,
-            stats: Snapshot::decode(d)?,
-        })
-    }
 }
 
 // ---- os ---------------------------------------------------------------
 
-impl Snapshot for TaskId {
+impl Encode for TaskId {
     fn encode(&self, e: &mut Enc) {
         e.put_u32(self.0);
     }
+}
+
+impl Decode for TaskId {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(TaskId(d.get_u32()?))
     }
 }
 
-impl Snapshot for SavedRunqueue {
+impl Encode for SavedRunqueue {
     fn encode(&self, e: &mut Enc) {
         self.entries.encode(e);
         self.min_vruntime.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedRunqueue {
-            entries: Snapshot::decode(d)?,
-            min_vruntime: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SchedStats {
+impl Encode for SchedStats {
     fn encode(&self, e: &mut Enc) {
         self.picks.encode(e);
         self.refresh_dodges.encode(e);
         self.eta_fallbacks.encode(e);
         self.migrations.encode(e);
     }
+}
+
+impl Decode for SchedStats {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(SchedStats {
-            picks: Snapshot::decode(d)?,
-            refresh_dodges: Snapshot::decode(d)?,
-            eta_fallbacks: Snapshot::decode(d)?,
-            migrations: Snapshot::decode(d)?,
+            picks: Decode::decode(d)?,
+            refresh_dodges: Decode::decode(d)?,
+            eta_fallbacks: Decode::decode(d)?,
+            migrations: Decode::decode(d)?,
         })
     }
 }
 
-impl Snapshot for SavedScheduler {
+impl Encode for SavedScheduler {
     fn encode(&self, e: &mut Enc) {
         self.queues.encode(e);
         self.stats.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedScheduler {
-            queues: Snapshot::decode(d)?,
-            stats: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedAddressSpace {
+impl Encode for SavedAddressSpace {
     fn encode(&self, e: &mut Enc) {
         self.pages.encode(e);
         self.faults.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedAddressSpace {
-            pages: Snapshot::decode(d)?,
-            faults: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedBuddy {
+impl Encode for SavedBuddy {
     fn encode(&self, e: &mut Enc) {
         self.frames.encode(e);
         self.free_frames.encode(e);
@@ -578,56 +548,28 @@ impl Snapshot for SavedBuddy {
         e.put_u64(self.alloc_map.len() as u64);
         e.put_bytes(&self.alloc_map);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let frames = Snapshot::decode(d)?;
-        let free_frames = Snapshot::decode(d)?;
-        let free_lists = Snapshot::decode(d)?;
-        let n = d.get_len(1)?;
-        let alloc_map = d.get_bytes(n)?.to_vec();
-        Ok(SavedBuddy {
-            frames,
-            free_frames,
-            free_lists,
-            alloc_map,
-        })
-    }
 }
 
-impl Snapshot for BankAllocStats {
+impl Encode for BankAllocStats {
     fn encode(&self, e: &mut Enc) {
         self.allocations.encode(e);
         self.cache_hits.encode(e);
         self.pulls.encode(e);
         self.fallbacks.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(BankAllocStats {
-            allocations: Snapshot::decode(d)?,
-            cache_hits: Snapshot::decode(d)?,
-            pulls: Snapshot::decode(d)?,
-            fallbacks: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedBankAlloc {
+impl Encode for SavedBankAlloc {
     fn encode(&self, e: &mut Enc) {
         self.buddy.encode(e);
         self.per_bank_free.encode(e);
         self.stats.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedBankAlloc {
-            buddy: Snapshot::decode(d)?,
-            per_bank_free: Snapshot::decode(d)?,
-            stats: Snapshot::decode(d)?,
-        })
-    }
 }
 
 // ---- dram -------------------------------------------------------------
 
-impl Snapshot for BankPhase {
+impl Encode for BankPhase {
     fn encode(&self, e: &mut Enc) {
         e.put_u8(match self {
             BankPhase::Idle => 0,
@@ -635,17 +577,9 @@ impl Snapshot for BankPhase {
             BankPhase::Refreshing => 2,
         });
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match d.get_u8()? {
-            0 => Ok(BankPhase::Idle),
-            1 => Ok(BankPhase::Active),
-            2 => Ok(BankPhase::Refreshing),
-            v => Err(CodecError::Invalid(format!("bank phase tag {v}"))),
-        }
-    }
 }
 
-impl Snapshot for SavedBank {
+impl Encode for SavedBank {
     fn encode(&self, e: &mut Enc) {
         self.phase.encode(e);
         self.open_row.encode(e);
@@ -657,22 +591,9 @@ impl Snapshot for SavedBank {
         self.refresh_busy_total.encode(e);
         self.activations.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedBank {
-            phase: Snapshot::decode(d)?,
-            open_row: Snapshot::decode(d)?,
-            next_act: Snapshot::decode(d)?,
-            next_pre: Snapshot::decode(d)?,
-            next_cas: Snapshot::decode(d)?,
-            busy_until: Snapshot::decode(d)?,
-            rows_refreshed: Snapshot::decode(d)?,
-            refresh_busy_total: Snapshot::decode(d)?,
-            activations: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedRank {
+impl Encode for SavedRank {
     fn encode(&self, e: &mut Enc) {
         self.recent_acts.encode(e);
         self.act_count.encode(e);
@@ -681,19 +602,9 @@ impl Snapshot for SavedRank {
         self.refresh_until.encode(e);
         self.refresh_busy_total.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedRank {
-            recent_acts: Snapshot::decode(d)?,
-            act_count: Snapshot::decode(d)?,
-            next_act_rank: Snapshot::decode(d)?,
-            next_rd_rank: Snapshot::decode(d)?,
-            refresh_until: Snapshot::decode(d)?,
-            refresh_busy_total: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for ViolationKind {
+impl Encode for ViolationKind {
     fn encode(&self, e: &mut Enc) {
         e.put_u8(match self {
             ViolationKind::LateRefresh => 0,
@@ -701,17 +612,9 @@ impl Snapshot for ViolationKind {
             ViolationKind::WeakRow => 2,
         });
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match d.get_u8()? {
-            0 => Ok(ViolationKind::LateRefresh),
-            1 => Ok(ViolationKind::StaleAtEnd),
-            2 => Ok(ViolationKind::WeakRow),
-            v => Err(CodecError::Invalid(format!("violation kind tag {v}"))),
-        }
-    }
 }
 
-impl Snapshot for RetentionViolation {
+impl Encode for RetentionViolation {
     fn encode(&self, e: &mut Enc) {
         self.kind.encode(e);
         self.flat_bank.encode(e);
@@ -721,50 +624,25 @@ impl Snapshot for RetentionViolation {
         self.limit.encode(e);
         self.at.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(RetentionViolation {
-            kind: Snapshot::decode(d)?,
-            flat_bank: Snapshot::decode(d)?,
-            row_start: Snapshot::decode(d)?,
-            row_end: Snapshot::decode(d)?,
-            interval: Snapshot::decode(d)?,
-            limit: Snapshot::decode(d)?,
-            at: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedBankTrack {
+impl Encode for SavedBankTrack {
     fn encode(&self, e: &mut Enc) {
         self.cursor.encode(e);
         self.spans.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedBankTrack {
-            cursor: Snapshot::decode(d)?,
-            spans: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedTracker {
+impl Encode for SavedTracker {
     fn encode(&self, e: &mut Enc) {
         self.banks.encode(e);
         self.weak_last.encode(e);
         self.violations.encode(e);
         self.total.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedTracker {
-            banks: Snapshot::decode(d)?,
-            weak_last: Snapshot::decode(d)?,
-            violations: Snapshot::decode(d)?,
-            total: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for RefreshOp {
+impl Encode for RefreshOp {
     fn encode(&self, e: &mut Enc) {
         match *self {
             RefreshOp::AllBank { rank, rows } => {
@@ -780,41 +658,17 @@ impl Snapshot for RefreshOp {
             }
         }
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match d.get_u8()? {
-            0 => Ok(RefreshOp::AllBank {
-                rank: d.get_u8()?,
-                rows: d.get_u32()?,
-            }),
-            1 => {
-                let rank = d.get_u8()?;
-                let bank = d.get_u8()?;
-                Ok(RefreshOp::PerBank {
-                    bank: BankId::new(rank, bank),
-                    rows: d.get_u32()?,
-                })
-            }
-            v => Err(CodecError::Invalid(format!("refresh op tag {v}"))),
-        }
-    }
 }
 
-impl Snapshot for Completion {
+impl Encode for Completion {
     fn encode(&self, e: &mut Enc) {
         self.id.0.encode(e);
         self.at.encode(e);
         self.latency.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(Completion {
-            id: ReqId(Snapshot::decode(d)?),
-            at: Snapshot::decode(d)?,
-            latency: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for ControllerStats {
+impl Encode for ControllerStats {
     fn encode(&self, e: &mut Enc) {
         self.reads_enqueued.encode(e);
         self.writes_enqueued.encode(e);
@@ -839,35 +693,38 @@ impl Snapshot for ControllerStats {
         self.injected_skip_faults.encode(e);
         self.injected_delay_faults.encode(e);
     }
+}
+
+impl Decode for ControllerStats {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(ControllerStats {
-            reads_enqueued: Snapshot::decode(d)?,
-            writes_enqueued: Snapshot::decode(d)?,
-            reads_completed: Snapshot::decode(d)?,
-            writes_completed: Snapshot::decode(d)?,
-            forwarded_reads: Snapshot::decode(d)?,
-            row_hits: Snapshot::decode(d)?,
-            row_misses: Snapshot::decode(d)?,
-            row_conflicts: Snapshot::decode(d)?,
-            refreshes_ab: Snapshot::decode(d)?,
-            refreshes_pb: Snapshot::decode(d)?,
-            refresh_postpone_total: Snapshot::decode(d)?,
-            refresh_postpone_max: Snapshot::decode(d)?,
-            read_latency_total: Snapshot::decode(d)?,
-            read_latency_max: Snapshot::decode(d)?,
-            refresh_blocked_reads: Snapshot::decode(d)?,
-            data_bus_busy: Snapshot::decode(d)?,
-            queue_reject_reads: Snapshot::decode(d)?,
-            queue_reject_writes: Snapshot::decode(d)?,
-            write_drains: Snapshot::decode(d)?,
-            retention_violations: Snapshot::decode(d)?,
-            injected_skip_faults: Snapshot::decode(d)?,
-            injected_delay_faults: Snapshot::decode(d)?,
+            reads_enqueued: Decode::decode(d)?,
+            writes_enqueued: Decode::decode(d)?,
+            reads_completed: Decode::decode(d)?,
+            writes_completed: Decode::decode(d)?,
+            forwarded_reads: Decode::decode(d)?,
+            row_hits: Decode::decode(d)?,
+            row_misses: Decode::decode(d)?,
+            row_conflicts: Decode::decode(d)?,
+            refreshes_ab: Decode::decode(d)?,
+            refreshes_pb: Decode::decode(d)?,
+            refresh_postpone_total: Decode::decode(d)?,
+            refresh_postpone_max: Decode::decode(d)?,
+            read_latency_total: Decode::decode(d)?,
+            read_latency_max: Decode::decode(d)?,
+            refresh_blocked_reads: Decode::decode(d)?,
+            data_bus_busy: Decode::decode(d)?,
+            queue_reject_reads: Decode::decode(d)?,
+            queue_reject_writes: Decode::decode(d)?,
+            write_drains: Decode::decode(d)?,
+            retention_violations: Decode::decode(d)?,
+            injected_skip_faults: Decode::decode(d)?,
+            injected_delay_faults: Decode::decode(d)?,
         })
     }
 }
 
-impl Snapshot for SavedEntry {
+impl Encode for SavedEntry {
     fn encode(&self, e: &mut Enc) {
         self.id.encode(e);
         self.write.encode(e);
@@ -879,37 +736,17 @@ impl Snapshot for SavedEntry {
         self.needed_pre.encode(e);
         self.refresh_blocked.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedEntry {
-            id: Snapshot::decode(d)?,
-            write: Snapshot::decode(d)?,
-            paddr: Snapshot::decode(d)?,
-            arrival: Snapshot::decode(d)?,
-            core: Snapshot::decode(d)?,
-            task: Snapshot::decode(d)?,
-            needed_act: Snapshot::decode(d)?,
-            needed_pre: Snapshot::decode(d)?,
-            refresh_blocked: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedPendingRefresh {
+impl Encode for SavedPendingRefresh {
     fn encode(&self, e: &mut Enc) {
         self.op.encode(e);
         self.due.encode(e);
         self.injected_delay.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedPendingRefresh {
-            op: Snapshot::decode(d)?,
-            due: Snapshot::decode(d)?,
-            injected_delay: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedController {
+impl Encode for SavedController {
     fn encode(&self, e: &mut Enc) {
         self.banks.encode(e);
         self.ranks.encode(e);
@@ -930,31 +767,9 @@ impl Snapshot for SavedController {
         self.refresh_seq.encode(e);
         self.policy_words.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedController {
-            banks: Snapshot::decode(d)?,
-            ranks: Snapshot::decode(d)?,
-            read_q: Snapshot::decode(d)?,
-            write_q: Snapshot::decode(d)?,
-            draining: Snapshot::decode(d)?,
-            cursor: Snapshot::decode(d)?,
-            cmd_bus_free: Snapshot::decode(d)?,
-            data_bus_free: Snapshot::decode(d)?,
-            data_bus_owner: Snapshot::decode(d)?,
-            pending_refresh: Snapshot::decode(d)?,
-            epoch_start: Snapshot::decode(d)?,
-            epoch_bus_busy: Snapshot::decode(d)?,
-            last_utilization: Snapshot::decode(d)?,
-            completions: Snapshot::decode(d)?,
-            stats: Snapshot::decode(d)?,
-            integrity: Snapshot::decode(d)?,
-            refresh_seq: Snapshot::decode(d)?,
-            policy_words: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedShadowBank {
+impl Encode for SavedShadowBank {
     fn encode(&self, e: &mut Enc) {
         self.open_row.encode(e);
         self.last_act.encode(e);
@@ -967,46 +782,18 @@ impl Snapshot for SavedShadowBank {
         self.activations.encode(e);
         self.refresh_busy.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedShadowBank {
-            open_row: Snapshot::decode(d)?,
-            last_act: Snapshot::decode(d)?,
-            ready_act: Snapshot::decode(d)?,
-            ready_cas: Snapshot::decode(d)?,
-            ready_pre: Snapshot::decode(d)?,
-            refresh_until: Snapshot::decode(d)?,
-            last_cmd: Snapshot::decode(d)?,
-            rows_refreshed: Snapshot::decode(d)?,
-            activations: Snapshot::decode(d)?,
-            refresh_busy: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedShadowRank {
+impl Encode for SavedShadowRank {
     fn encode(&self, e: &mut Enc) {
-        for a in &self.acts {
-            a.encode(e);
-        }
+        self.acts.encode(e);
         self.act_pos.encode(e);
         self.read_ready.encode(e);
         self.refresh_until.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        let mut acts = [Ps::ZERO; 4];
-        for a in &mut acts {
-            *a = Snapshot::decode(d)?;
-        }
-        Ok(SavedShadowRank {
-            acts,
-            act_pos: Snapshot::decode(d)?,
-            read_ready: Snapshot::decode(d)?,
-            refresh_until: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedShadow {
+impl Encode for SavedShadow {
     fn encode(&self, e: &mut Enc) {
         self.banks.encode(e);
         self.ranks.encode(e);
@@ -1026,30 +813,9 @@ impl Snapshot for SavedShadow {
         self.refresh_seq.encode(e);
         self.policy_words.encode(e);
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        Ok(SavedShadow {
-            banks: Snapshot::decode(d)?,
-            ranks: Snapshot::decode(d)?,
-            read_q: Snapshot::decode(d)?,
-            write_q: Snapshot::decode(d)?,
-            draining: Snapshot::decode(d)?,
-            cursor: Snapshot::decode(d)?,
-            data_bus_free: Snapshot::decode(d)?,
-            data_bus_owner: Snapshot::decode(d)?,
-            pending_refresh: Snapshot::decode(d)?,
-            epoch_start: Snapshot::decode(d)?,
-            epoch_bus_busy: Snapshot::decode(d)?,
-            last_utilization: Snapshot::decode(d)?,
-            completions: Snapshot::decode(d)?,
-            stats: Snapshot::decode(d)?,
-            integrity: Snapshot::decode(d)?,
-            refresh_seq: Snapshot::decode(d)?,
-            policy_words: Snapshot::decode(d)?,
-        })
-    }
 }
 
-impl Snapshot for SavedBackend {
+impl Encode for SavedBackend {
     fn encode(&self, e: &mut Enc) {
         match self {
             SavedBackend::Primary(s) => {
@@ -1062,18 +828,11 @@ impl Snapshot for SavedBackend {
             }
         }
     }
-    fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
-        match d.get_u8()? {
-            0 => Ok(SavedBackend::Primary(Snapshot::decode(d)?)),
-            1 => Ok(SavedBackend::Shadow(Snapshot::decode(d)?)),
-            v => Err(CodecError::Invalid(format!("backend tag {v}"))),
-        }
-    }
 }
 
-// ---- core metrics (persisted by the resilient sweep runner) ----------
+// ---- core metrics (persisted by the run cache) ------------------------
 
-impl Snapshot for TaskMetrics {
+impl Encode for TaskMetrics {
     fn encode(&self, e: &mut Enc) {
         self.task.encode(e);
         self.label.encode(e);
@@ -1085,22 +844,25 @@ impl Snapshot for TaskMetrics {
         self.spilled_pages.encode(e);
         self.schedules.encode(e);
     }
+}
+
+impl Decode for TaskMetrics {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(TaskMetrics {
-            task: Snapshot::decode(d)?,
-            label: Snapshot::decode(d)?,
-            instructions: Snapshot::decode(d)?,
-            cpu_time: Snapshot::decode(d)?,
-            stall_time: Snapshot::decode(d)?,
-            llc_misses: Snapshot::decode(d)?,
-            faults: Snapshot::decode(d)?,
-            spilled_pages: Snapshot::decode(d)?,
-            schedules: Snapshot::decode(d)?,
+            task: Decode::decode(d)?,
+            label: Decode::decode(d)?,
+            instructions: Decode::decode(d)?,
+            cpu_time: Decode::decode(d)?,
+            stall_time: Decode::decode(d)?,
+            llc_misses: Decode::decode(d)?,
+            faults: Decode::decode(d)?,
+            spilled_pages: Decode::decode(d)?,
+            schedules: Decode::decode(d)?,
         })
     }
 }
 
-impl Snapshot for RunMetrics {
+impl Encode for RunMetrics {
     fn encode(&self, e: &mut Enc) {
         self.tasks.encode(e);
         self.sim_time.encode(e);
@@ -1109,14 +871,17 @@ impl Snapshot for RunMetrics {
         self.cpu_period.encode(e);
         self.dram_period.encode(e);
     }
+}
+
+impl Decode for RunMetrics {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(RunMetrics {
-            tasks: Snapshot::decode(d)?,
-            sim_time: Snapshot::decode(d)?,
-            controller: Snapshot::decode(d)?,
-            sched: Snapshot::decode(d)?,
-            cpu_period: Snapshot::decode(d)?,
-            dram_period: Snapshot::decode(d)?,
+            tasks: Decode::decode(d)?,
+            sim_time: Decode::decode(d)?,
+            controller: Decode::decode(d)?,
+            sched: Decode::decode(d)?,
+            cpu_period: Decode::decode(d)?,
+            dram_period: Decode::decode(d)?,
         })
     }
 }
@@ -1172,7 +937,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 mod tests {
     use super::*;
 
-    fn roundtrip<T: Snapshot + PartialEq + std::fmt::Debug>(v: &T) {
+    fn roundtrip<T: Encode + Decode + PartialEq + std::fmt::Debug>(v: &T) {
         let bytes = to_bytes(v);
         let back: T = from_bytes(&bytes).expect("roundtrip decode");
         assert_eq!(&back, v);
@@ -1234,44 +999,40 @@ mod tests {
         assert!(r.is_err());
         let r: Result<Option<u8>, _> = from_bytes(&[2, 0]);
         assert!(r.is_err());
-        let r: Result<BankPhase, _> = from_bytes(&[9]);
-        assert!(r.is_err());
     }
 
+    /// The component-crate types a run-cache entry stores decode back
+    /// to the value that was encoded.
     #[test]
     fn saved_component_types_roundtrip() {
-        roundtrip(&SavedPattern {
-            cursors: vec![1, 2, 3],
-            next_stream: 1,
-        });
-        roundtrip(&SavedExecContext {
-            now: Ps::from_us(3),
-            issued: 100,
-            outstanding: vec![(7, 42, true), (8, 50, false)],
-            dependent_block: Some(7),
-            stall_time: Ps::from_ns(500),
-            misses: 2,
-        });
-        roundtrip(&SavedBank {
-            phase: BankPhase::Active,
-            open_row: Some(17),
-            next_act: Ps::from_ns(10),
-            next_pre: Ps::from_ns(20),
-            next_cas: Ps::from_ns(30),
-            busy_until: Ps::ZERO,
-            rows_refreshed: 64,
-            refresh_busy_total: Ps::from_ns(890),
-            activations: 5,
-        });
-        roundtrip(&RefreshOp::PerBank {
-            bank: BankId::new(1, 3),
-            rows: 64,
-        });
-        roundtrip(&RefreshOp::AllBank { rank: 0, rows: 32 });
         roundtrip(&ControllerStats {
             reads_completed: 10,
             read_latency_total: Ps::from_us(5),
             ..Default::default()
+        });
+        roundtrip(&SchedStats {
+            picks: 7,
+            refresh_dodges: 3,
+            eta_fallbacks: 1,
+            migrations: 2,
+        });
+        roundtrip(&RunMetrics {
+            tasks: vec![TaskMetrics {
+                task: 0,
+                label: String::from("mcf"),
+                instructions: 1_000,
+                cpu_time: Ps::from_us(4),
+                stall_time: Ps::from_us(1),
+                llc_misses: 9,
+                faults: 2,
+                spilled_pages: 0,
+                schedules: 3,
+            }],
+            sim_time: Ps::from_us(4),
+            controller: ControllerStats::default(),
+            sched: SchedStats::default(),
+            cpu_period: Ps::from_ps(312),
+            dram_period: Ps::from_ps(1_250),
         });
     }
 

@@ -74,8 +74,6 @@ pub enum RefsimError {
     /// A simulation worker panicked; the payload message is preserved
     /// when it was a string.
     Panicked(String),
-    /// A checkpoint image could not be written, read, or imported.
-    Checkpoint(String),
     /// The runtime invariant sanitizer found at least one error-severity
     /// violation (see [`crate::sanitize`]). The run's numbers are not
     /// trustworthy, but the simulation itself did not crash.
@@ -106,7 +104,6 @@ impl fmt::Display for RefsimError {
                 "no forward progress after {steps} steps at {at} [{snapshot}]"
             ),
             RefsimError::Panicked(msg) => write!(f, "simulation panicked: {msg}"),
-            RefsimError::Checkpoint(why) => write!(f, "checkpoint error: {why}"),
             RefsimError::InvariantViolation(report) => {
                 write!(f, "invariant violation: {report}")
             }

@@ -6,15 +6,15 @@
 //! workers idle behind one unlucky chunk; stealing lets an idle worker
 //! take over the tail of a loaded one.
 //!
-//! * **Cost-ordered dispatch.** Items are sorted longest expected first,
-//!   using cached `wall_nanos` from [`crate::runcache`] as the estimate.
-//!   Items with no estimate lead, in submission order. The sorted items
-//!   are dealt round-robin across the workers' deques.
-//! * **Per-worker deques, LIFO-local / FIFO-steal.** Each deque holds
-//!   its cheapest item at the front. The owner pops its most expensive
-//!   remaining item from the back; a thief takes the victim's cheapest
-//!   from the front, nibbling tail work without disturbing the victim's
-//!   critical path.
+//! * **Round-robin dispatch.** Items are dealt round-robin across the
+//!   workers' deques in submission order. A sweep serves cached cells
+//!   without executing them, so the items that cost anything have no
+//!   cached wall time to order them by.
+//! * **Per-worker deques, owner at the back, thieves at the front.**
+//!   Each deque holds its earliest item at the back. The owner pops its
+//!   items from the back, in submission order; a thief takes the
+//!   victim's latest from the front, nibbling tail work without
+//!   disturbing the owner's order.
 //! * **Requeue onto the own deque.** A callback returning
 //!   [`Verdict::Requeue`] puts its item at the front (the thieves' end)
 //!   of the dispatching worker's deque: an idle worker steals the retry
@@ -32,9 +32,8 @@
 //! **Determinism argument.** The executor decides only *where and when*
 //! an item runs, never *what it computes*: each item's result lands in
 //! its own pre-assigned output slot, and the simulator is deterministic
-//! per attempt (a retried attempt re-runs from scratch or from its
-//! checkpoint, which is bit-identical by the replay contract). So
-//! results are bit-identical across any thread count — pinned by the
+//! per attempt (a retried attempt re-runs from scratch). So results
+//! are bit-identical across any thread count — pinned by the
 //! thread-matrix proptests in `crates/core/tests/executor.rs`.
 
 use std::collections::VecDeque;
@@ -64,19 +63,6 @@ fn threads_from(var: Option<&str>) -> usize {
         })
 }
 
-/// One schedulable item: an opaque id (the sweep maps it to a leader
-/// cell) plus an optional cost estimate in wall-clock nanoseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecItem {
-    /// Caller-meaningful identity, also the determinism anchor: results
-    /// keyed by `id` are independent of scheduling.
-    pub id: usize,
-    /// Expected wall nanoseconds (cached `wall_nanos` from
-    /// [`crate::runcache`]); `None` schedules ahead of every estimated
-    /// item, in submission order.
-    pub estimate_nanos: Option<u64>,
-}
-
 /// What one dispatch of the callback decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -90,7 +76,7 @@ pub enum Verdict {
 
 /// Scheduling telemetry for one [`execute`] run (or, merged, for every
 /// sweep a figure pipeline drove). Diagnostic only — excluded from
-/// results, checkpoints, and replay hashes.
+/// results and replay hashes.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// Worker threads spawned (the widest sweep, once merged).
@@ -156,7 +142,7 @@ impl ExecutorStats {
 
 /// Deques and counters the workers share.
 struct Shared {
-    /// Item ids per worker, cheapest at the front.
+    /// Item ids per worker, latest at the front.
     deques: Vec<Mutex<VecDeque<usize>>>,
     local_pops: AtomicU64,
     steals: AtomicU64,
@@ -164,47 +150,35 @@ struct Shared {
     tail_ms: [AtomicU64; 9],
 }
 
-/// Runs `items` to completion across `threads` work-stealing workers.
-/// `run` is invoked once per dispatch with the item's id; it owns result
-/// recording and returns a [`Verdict`]. Returns when every item has
-/// reported [`Verdict::Done`].
+/// Runs items `0..items` to completion across `threads` work-stealing
+/// workers. `run` is invoked once per dispatch with the item's id — the
+/// determinism anchor: results keyed by id are independent of
+/// scheduling. `run` owns result recording and returns a [`Verdict`].
+/// Returns when every item has reported [`Verdict::Done`].
 ///
 /// # Panics
 ///
 /// Re-raises, with its original payload, the first panic that escaped
 /// `run`, after every worker has exited.
-pub fn execute<F>(items: &[ExecItem], threads: usize, run: F) -> ExecutorStats
+pub fn execute<F>(items: usize, threads: usize, run: F) -> ExecutorStats
 where
     F: Fn(usize) -> Verdict + Sync,
 {
-    let total = items.len();
     let mut stats = ExecutorStats {
-        items: total as u64,
+        items: items as u64,
         ..ExecutorStats::default()
     };
-    if total == 0 {
+    if items == 0 {
         return stats;
     }
-    let workers = threads.clamp(1, total);
+    let workers = threads.clamp(1, items);
     stats.workers = workers as u64;
 
-    // Longest expected first; items with no estimate lead in submission
-    // order (an unknown could be anything — start a surprise long cell
-    // early).
-    let mut order: Vec<&ExecItem> = items.iter().collect();
-    order.sort_by_key(|it| {
-        (
-            std::cmp::Reverse(it.estimate_nanos.unwrap_or(u64::MAX)),
-            it.id,
-        )
-    });
-
-    // Deal the ordered items round-robin, then push each onto the front
-    // of its deque so the deque runs cheapest (front) to most expensive
-    // (back).
+    // Deal the items round-robin, pushing each onto the front of its
+    // deque so the owner, popping from the back, runs them in order.
     let mut deques: Vec<VecDeque<usize>> = vec![VecDeque::new(); workers];
-    for (j, it) in order.iter().enumerate() {
-        deques[j % workers].push_front(it.id);
+    for id in 0..items {
+        deques[id % workers].push_front(id);
     }
     let shared = Shared {
         deques: deques.into_iter().map(Mutex::new).collect(),
@@ -262,8 +236,9 @@ where
     }
 }
 
-/// Claim priority: own deque (LIFO — most expensive remaining), then a
-/// steal sweep over the other workers (FIFO — the victim's cheapest).
+/// Claim priority: own deque (from the back — the earliest remaining),
+/// then a steal sweep over the other workers (from the front — the
+/// victim's latest).
 fn next_item(w: usize, shared: &Shared) -> Option<usize> {
     if let Some(id) = shared.deques[w].lock().expect("poisoned").pop_back() {
         shared.local_pops.fetch_add(1, Ordering::Relaxed);
@@ -286,15 +261,6 @@ mod tests {
     use std::sync::mpsc;
     use std::time::Duration;
 
-    fn unestimated(n: usize) -> Vec<ExecItem> {
-        (0..n)
-            .map(|id| ExecItem {
-                id,
-                estimate_nanos: None,
-            })
-            .collect()
-    }
-
     #[test]
     fn threads_env_overrides_detection() {
         assert_eq!(threads_from(Some("3")), 3);
@@ -306,49 +272,10 @@ mod tests {
     }
 
     #[test]
-    fn single_worker_dispatch_is_longest_estimate_first() {
-        let items = [
-            ExecItem {
-                id: 0,
-                estimate_nanos: Some(10),
-            },
-            ExecItem {
-                id: 1,
-                estimate_nanos: Some(30),
-            },
-            ExecItem {
-                id: 2,
-                estimate_nanos: None,
-            },
-            ExecItem {
-                id: 3,
-                estimate_nanos: Some(20),
-            },
-        ];
-        let order = Mutex::new(Vec::new());
-        let stats = execute(&items, 1, |id| {
-            order.lock().expect("poisoned").push(id);
-            Verdict::Done
-        });
-        // No-estimate items lead (in submission order), then descending
-        // estimate.
-        assert_eq!(*order.lock().expect("poisoned"), vec![2, 1, 3, 0]);
-        assert_eq!(stats.items, 4);
-        assert_eq!(stats.local_pops, 4);
-        assert_eq!(stats.steals, 0);
-    }
-
-    #[test]
     fn idle_workers_steal_from_the_loaded_deque() {
-        // Worker 0 owns the one big item (plus half the small ones);
-        // worker 1 drains its own small items and then must steal.
-        let items: Vec<ExecItem> = (0..10)
-            .map(|id| ExecItem {
-                id,
-                estimate_nanos: Some(if id == 0 { 1_000_000_000 } else { 1_000 }),
-            })
-            .collect();
-        let stats = execute(&items, 2, |id| {
+        // Worker 0 runs the one big item first (plus half the small
+        // ones); worker 1 drains its own small items and then must steal.
+        let stats = execute(10, 2, |id| {
             std::thread::sleep(Duration::from_millis(if id == 0 { 60 } else { 1 }));
             Verdict::Done
         });
@@ -359,7 +286,7 @@ mod tests {
     #[test]
     fn requeued_item_is_dispatched_exactly_once_more() {
         let claims = Mutex::new(Vec::new());
-        let stats = execute(&unestimated(5), 1, |id| {
+        let stats = execute(5, 1, |id| {
             let mut claims = claims.lock().expect("poisoned");
             let first = !claims.contains(&id);
             claims.push(id);
@@ -386,7 +313,7 @@ mod tests {
             let (tx, rx) = mpsc::channel();
             let handle = std::thread::spawn(move || {
                 let outcome = std::panic::catch_unwind(|| {
-                    execute(&unestimated(8), threads, |id| {
+                    execute(8, threads, |id| {
                         if id == 3 {
                             panic!("boom on item 3");
                         }

@@ -7,7 +7,7 @@
 //! wants the cheapest possible mixing; each core's MSHR line table,
 //! keyed by line address, takes the same traffic. FNV-1a over the 8 key
 //! bytes distributes sequential keys well and is already this
-//! workspace's standard hash (checkpoints, replay state digests).
+//! workspace's standard hash (run-cache entries, replay state digests).
 //!
 //! The table uses linear probing with backward-shift deletion (no
 //! tombstones, so long-lived maps never degrade), grows at ⅞ load, and
@@ -273,7 +273,7 @@ mod tests {
     fn sequential_ids_with_wraparound_reuse() {
         // The inflight table's exact pattern: monotonically increasing
         // ids inserted and removed in FIFO-ish order, plus ids reused
-        // from an earlier epoch (checkpoint/restore rewinds next_req).
+        // from an earlier epoch.
         let mut m = FnvMap::new();
         for k in 0..64u64 {
             m.insert(k, k);

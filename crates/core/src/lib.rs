@@ -8,7 +8,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod checkpoint;
 pub mod codec;
 pub mod config;
 pub mod diffval;
@@ -22,6 +21,7 @@ pub mod replay;
 pub mod report;
 pub mod runcache;
 pub mod sanitize;
+pub mod state;
 pub mod sweep;
 pub mod system;
 pub mod vfs;

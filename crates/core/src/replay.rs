@@ -14,9 +14,8 @@
 //! Three verification modes:
 //!
 //! * [`replay_verify`] — run the config twice, expect zero divergence;
-//! * [`replay_verify_resumed`] — run once uninterrupted, once through a
-//!   serialized mid-run checkpoint, expect zero divergence (exercises
-//!   the whole checkpoint codec path);
+//! * [`replay_verify_engines`] — run once per advancement engine, expect
+//!   zero divergence;
 //! * [`replay_verify_perturbed`] — deliberately corrupt one component at
 //!   a chosen quantum and check the auditor attributes it correctly.
 
@@ -25,10 +24,10 @@ use std::fmt;
 use refsim_dram::time::Ps;
 use refsim_workloads::mix::WorkloadMix;
 
-use crate::checkpoint::{Checkpoint, SavedSystem};
-use crate::codec::{fnv64, to_bytes, Enc, Snapshot};
+use crate::codec::{fnv64, to_bytes, Enc, Encode};
 use crate::config::{EngineKind, SystemConfig};
 use crate::error::RefsimError;
+use crate::state::SavedSystem;
 use crate::system::System;
 
 /// Component-level FNV-1a hashes of a [`SavedSystem`], used to attribute
@@ -182,10 +181,9 @@ impl ReplayOptions {
 }
 
 /// The absolute span boundaries a driver must use so that two runs of
-/// the same config — or an uninterrupted run and a checkpoint-resumed
-/// one — are steered through identical step segmentation. Includes the
-/// warm-up boundary and the end of the measured window; `every = None`
-/// yields exactly the segmentation of [`System::try_run`].
+/// the same config are steered through identical step segmentation.
+/// Includes the warm-up boundary and the end of the measured window;
+/// `every = None` yields exactly the segmentation of [`System::try_run`].
 pub fn span_boundaries(cfg: &SystemConfig, every: Option<Ps>) -> Vec<Ps> {
     let end = cfg.warmup + cfg.measure;
     let mut bs = Vec::new();
@@ -337,67 +335,15 @@ pub fn replay_verify_engines(
     })
 }
 
-/// Like [`replay_verify`], but the second execution is interrupted at
-/// the middle boundary, serialized through the checkpoint byte format,
-/// restored into a freshly built system, and resumed — verifying the
-/// full crash/resume path reproduces the uninterrupted run bit for bit.
-///
-/// # Errors
-///
-/// Any simulation fault, plus [`RefsimError::Checkpoint`] if the
-/// serialized image fails to round-trip.
-pub fn replay_verify_resumed(
-    cfg: &SystemConfig,
-    mix: &WorkloadMix,
-    opts: &ReplayOptions,
-) -> Result<ReplayReport, RefsimError> {
-    let reference = trace(cfg, mix, opts)?;
-    let bs = span_boundaries(cfg, Some(opts.sample_every));
-    let mid = bs.len() / 2;
-
-    // First leg: run to the middle boundary and serialize.
-    let mut sys = System::try_new(cfg.clone(), mix)?;
-    if cfg.warmup == Ps::ZERO {
-        sys.begin_measure();
-    }
-    for &b in &bs[..mid] {
-        advance(&mut sys, cfg, b)?;
-    }
-    let image = sys.checkpoint(mix).to_bytes();
-    drop(sys);
-
-    // Second leg: restore from bytes and resume through the remaining
-    // boundaries, sampling as the reference did.
-    let cp = Checkpoint::from_bytes(&image).map_err(|e| RefsimError::Checkpoint(e.to_string()))?;
-    let mut sys = System::restore(cfg.clone(), mix, &cp)?;
-    let mut tail = Vec::new();
-    for (q, &b) in bs.iter().enumerate().skip(mid) {
-        advance(&mut sys, cfg, b)?;
-        tail.push(ReplaySample {
-            quantum: q as u64,
-            at: sys.now(),
-            hashes: StateHashes::of(&sys.export_state()),
-        });
-    }
-    Ok(ReplayReport {
-        samples: tail.len(),
-        divergence: first_divergence(&reference[mid..], &tail),
-    })
-}
-
-/// Negative control for the auditor: runs `(cfg, mix)` twice, corrupting
-/// the second run's workload-generator state right after `at_quantum`,
-/// and reports the resulting divergence. A healthy auditor attributes it
-/// to the `workloads` component at exactly that quantum.
+/// Negative control for the auditor: runs `(cfg, mix)` twice, flipping
+/// one bit of the first task's workload RNG state in the second run
+/// right after `at_quantum`, and reports the resulting divergence. A
+/// healthy auditor attributes it to the `workloads` component at exactly
+/// that quantum.
 ///
 /// # Errors
 ///
 /// Any simulation fault of either run.
-///
-/// # Panics
-///
-/// Panics if the perturbed state is rejected on reimport (cannot happen
-/// for an RNG-state flip).
 pub fn replay_verify_perturbed(
     cfg: &SystemConfig,
     mix: &WorkloadMix,
@@ -407,12 +353,7 @@ pub fn replay_verify_perturbed(
     let a = trace(cfg, mix, opts)?;
     let b = trace_with(cfg, mix, opts, |sys, q| {
         if q == at_quantum {
-            let mut st = sys.export_state();
-            if let Some(sim) = st.sims.first_mut() {
-                sim.wl.rng_state ^= 1;
-            }
-            sys.import_state(&st)
-                .expect("rng flip is always importable");
+            sys.perturb_workload_rng(0, 1);
         }
     })?;
     Ok(ReplayReport {
@@ -467,25 +408,6 @@ mod tests {
                 r.samples
             );
         }
-    }
-
-    #[test]
-    fn resumed_replay_is_clean() {
-        let cfg = tiny_cfg(7).co_design();
-        let opts = ReplayOptions::for_config(&cfg);
-        let r = replay_verify_resumed(&cfg, &tiny_mix(), &opts).expect("run");
-        assert!(r.is_clean(), "{r}");
-    }
-
-    #[test]
-    fn resumed_replay_is_clean_on_the_shadow_backend() {
-        // Exercises the shadow model's save/restore through the full
-        // checkpoint codec path — a precondition for differential
-        // triage, which assumes either backend can self-replay.
-        let cfg = tiny_cfg(7).with_backend(refsim_dram::backend::BackendKind::Shadow);
-        let opts = ReplayOptions::for_config(&cfg);
-        let r = replay_verify_resumed(&cfg, &tiny_mix(), &opts).expect("run");
-        assert!(r.is_clean(), "{r}");
     }
 
     #[test]

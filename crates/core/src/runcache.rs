@@ -64,7 +64,7 @@ use refsim_workloads::mix::WorkloadMix;
 
 use refsim_dram::mapping::MappingScheme;
 
-use crate::codec::{self, CodecError, Dec, Enc, Snapshot};
+use crate::codec::{self, Dec, Enc};
 use crate::config::{EngineKind, SystemConfig};
 use crate::metrics::RunMetrics;
 use crate::sanitize::AuditLevel;
@@ -352,7 +352,7 @@ impl CacheEntry {
             return None;
         }
         let payload = d.get_bytes(n as usize).ok()?;
-        let metrics: RunMetrics = decode_all(payload).ok()?;
+        let metrics: RunMetrics = codec::from_bytes(payload).ok()?;
         Some(CacheEntry {
             fingerprint,
             replay_hash,
@@ -360,10 +360,6 @@ impl CacheEntry {
             metrics,
         })
     }
-}
-
-fn decode_all<T: Snapshot>(bytes: &[u8]) -> Result<T, CodecError> {
-    codec::from_bytes(bytes)
 }
 
 // ---- the cache -----------------------------------------------------------
@@ -460,19 +456,6 @@ impl RunCache {
                     .rename(&path, &path.with_extension("run.quarantine"));
                 CacheLookup::Corrupt
             }
-        }
-    }
-
-    /// Reads the cached wall-clock cost of `fingerprint` without any
-    /// lookup side effects — no stats, no quarantine of damaged
-    /// entries. The sweep executor uses it as its cost estimator when
-    /// ordering dispatch; a damaged entry is simply "no estimate" here
-    /// and is classified properly when the real lookup runs.
-    pub fn peek_wall_nanos(&self, fingerprint: u64) -> Option<u64> {
-        let bytes = self.vfs.read(&self.entry_path(fingerprint)).ok()?;
-        match CacheEntry::from_bytes(&bytes) {
-            Some(entry) if entry.fingerprint == fingerprint => Some(entry.wall_nanos),
-            _ => None,
         }
     }
 

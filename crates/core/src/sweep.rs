@@ -46,7 +46,7 @@ use std::time::Instant;
 use refsim_dram::time::Ps;
 
 use crate::error::RefsimError;
-use crate::executor::{self, default_threads, ExecItem, ExecutorStats, Verdict};
+use crate::executor::{self, default_threads, ExecutorStats, Verdict};
 use crate::experiment::Job;
 use crate::metrics::RunMetrics;
 use crate::replay::{span_boundaries, StateHashes};
@@ -228,23 +228,6 @@ pub fn run_many_resilient(jobs: &[Job], threads: usize, opts: &SweepOptions) -> 
         threads
     };
 
-    // Cost-model estimates for dispatch ordering: a cached wall from a
-    // prior process, read without lookup side effects. Bypassed cells
-    // and cold caches have no estimate and run in submission order.
-    let items: Vec<ExecItem> = leaders
-        .iter()
-        .enumerate()
-        .map(|(p, &i)| ExecItem {
-            id: p,
-            estimate_nanos: opts.cache.as_ref().and_then(|c| {
-                bypass_reason(&jobs[i].cfg)
-                    .is_none()
-                    .then(|| c.peek_wall_nanos(fingerprints[i]))
-                    .flatten()
-            }),
-        })
-        .collect();
-
     // Per-leader state that must survive executor requeues: the sweep —
     // not the executor — owns the retry budget (so `PanicInjection`
     // attempt counting is unchanged), and the cache decision is made
@@ -401,7 +384,7 @@ pub fn run_many_resilient(jobs: &[Job], threads: usize, opts: &SweepOptions) -> 
         }
     };
 
-    let exec_stats = executor::execute(&items, workers, exec_run);
+    let exec_stats = executor::execute(leaders.len(), workers, exec_run);
 
     let mut quarantined = quarantined.into_inner().expect("poisoned");
     quarantined.sort_unstable();

@@ -27,18 +27,16 @@ use refsim_workloads::mix::WorkloadMix;
 
 use refsim_workloads::profiles::TaskWorkload;
 
-use crate::checkpoint::{
-    Checkpoint, SavedBaseline, SavedCore, SavedInflight, SavedPendingMem, SavedSim, SavedSystem,
-    SavedTask,
-};
 use crate::config::{EngineKind, SystemConfig};
 use crate::error::{RefsimError, SystemSnapshot};
 use crate::fastmap::FnvMap;
 use crate::metrics::{RunMetrics, TaskMetrics};
-use crate::runcache::job_fingerprint;
 use crate::sanitize::{
     AuditLevel, AuditScope, ChannelSample, CoreSample, Event, QuantumSample, Sanitizer,
     SchedSample, TaskSample, ViolationReport,
+};
+use crate::state::{
+    SavedBaseline, SavedCore, SavedInflight, SavedPendingMem, SavedSim, SavedSystem, SavedTask,
 };
 
 /// Forward-progress budget for one `run_until` span of `span` ps: a
@@ -90,7 +88,7 @@ const TLB_SETS: usize = 64;
 /// bits, one `(vpn, frame base)` pair per set, `u64::MAX` marking an
 /// empty set (no VPN reaches it). Purely an accelerator — mappings only
 /// grow and never move, so a cached pair cannot go stale within a run.
-/// Runtime-only: cleared on restore, never saved.
+/// Runtime-only: never exported.
 #[derive(Debug)]
 struct Tlb {
     sets: [(u64, u64); TLB_SETS],
@@ -178,8 +176,7 @@ pub struct System {
     sched_base_stats: refsim_os::sched::SchedStats,
     measure_start: Ps,
     /// Runtime invariant sanitizer (`simsan`); present only when
-    /// `cfg.audit != Off`. Not part of the checkpointed state — a
-    /// restored system restarts its audit from the restore point.
+    /// `cfg.audit != Off`. Not part of the exported state.
     san: Option<Box<Sanitizer>>,
     /// Scheduler preemptions observed so far (audit quantum ordinal).
     quanta: u64,
@@ -192,13 +189,13 @@ pub struct System {
     /// Reusable buffer for the skip horizon's per-channel completion
     /// bounds `(next action, channel)`.
     bounds_buf: Vec<(Ps, usize)>,
-    /// Engine telemetry (not checkpointed, not hashed): loop iterations
+    /// Engine telemetry (not exported, not hashed): loop iterations
     /// and which horizon constraint bound each skip decision.
     engine_stats: EngineStats,
 }
 
 /// Telemetry for the step loop and the event-horizon skip decisions.
-/// Diagnostic only — excluded from checkpoints and replay hashes.
+/// Diagnostic only — excluded from the exported state and replay hashes.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EngineStats {
     /// Step-loop iterations executed.
@@ -769,7 +766,7 @@ impl System {
     }
 
     /// Engine telemetry for the run so far: loop iterations and the
-    /// skip-decision breakdown. Diagnostic only — never checkpointed or
+    /// skip-decision breakdown. Diagnostic only — never exported or
     /// hashed, so reading it cannot perturb replay equivalence.
     pub fn engine_stats(&self) -> EngineStats {
         self.engine_stats
@@ -804,17 +801,16 @@ impl System {
         }
     }
 
-    // ---- checkpoint / restore ------------------------------------------
+    // ---- state export --------------------------------------------------
 
     /// Captures the complete dynamic state of the machine as plain data.
     ///
     /// Together with the `(config, mix)` pair the system was built from,
-    /// the returned [`SavedSystem`] fully determines every future step:
-    /// restoring it into a freshly built twin (see
-    /// [`System::import_state`]) and advancing both machines through the
-    /// *same* `run_until` boundaries produces bit-identical state.
-    /// Snapshots are valid at any step boundary — in practice, whenever
-    /// the caller is between `run_until` calls.
+    /// the returned [`SavedSystem`] fully determines every future step
+    /// through the *same* `run_until` boundaries, which is what the
+    /// replay auditor's per-component hashes rely on. Exports are valid
+    /// at any step boundary — in practice, whenever the caller is
+    /// between `run_until` calls.
     pub fn export_state(&self) -> SavedSystem {
         let cores = self
             .cores
@@ -908,161 +904,13 @@ impl System {
         }
     }
 
-    /// Imports dynamic state captured by [`System::export_state`] into
-    /// this machine, which must have been built from the same
-    /// `(config, mix)` pair (use [`System::restore`] for the checked,
-    /// fingerprinted path).
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first incompatibility (component
-    /// count, queue capacity, policy word-set, tag values…). On error
-    /// the machine may be partially updated and must be discarded.
-    pub fn import_state(&mut self, s: &SavedSystem) -> Result<(), String> {
-        if s.mcs.len() != self.mcs.len() {
-            return Err(format!(
-                "channel count mismatch: saved {} vs built {}",
-                s.mcs.len(),
-                self.mcs.len()
-            ));
+    /// Negative-control hook for the replay auditor: XORs `mask` into
+    /// the workload RNG state word of task `task` (no-op past the last
+    /// task), so that task's random stream departs from here on.
+    pub(crate) fn perturb_workload_rng(&mut self, task: usize, mask: u64) {
+        if let Some(sim) = self.sims.get_mut(task) {
+            sim.wl.perturb_rng(mask);
         }
-        if s.cores.len() != self.cores.len() {
-            return Err(format!(
-                "core count mismatch: saved {} vs built {}",
-                s.cores.len(),
-                self.cores.len()
-            ));
-        }
-        let n = self.os_tasks.len();
-        if s.tasks.len() != n || s.sims.len() != n || s.base.len() != n {
-            return Err(format!(
-                "task count mismatch: saved {}/{}/{} vs built {n}",
-                s.tasks.len(),
-                s.sims.len(),
-                s.base.len()
-            ));
-        }
-        for (mc, saved) in self.mcs.iter_mut().zip(&s.mcs) {
-            mc.restore_backend(saved)?;
-        }
-        for (core, saved) in self.cores.iter_mut().zip(&s.cores) {
-            if let Some(t) = saved.current {
-                if t as usize >= n {
-                    return Err(format!("core runs unknown task {t}"));
-                }
-            }
-            core.caches.restore_state(&saved.caches)?;
-            core.current = saved.current;
-            core.sched_base = saved.sched_base;
-            core.quantum_end = saved.quantum_end;
-            core.inflight_lines.clear();
-            for &(line, id) in &saved.inflight_lines {
-                core.inflight_lines.insert(line, ReqId(id));
-            }
-        }
-        for (t, saved) in self.os_tasks.iter_mut().zip(&s.tasks) {
-            t.state = match saved.state {
-                0 => TaskState::Runnable,
-                1 => TaskState::Running,
-                2 => TaskState::Blocked,
-                other => return Err(format!("unknown task state tag {other}")),
-            };
-            if saved.bytes_per_bank.len() != t.bytes_per_bank.len() {
-                return Err(format!(
-                    "bank count mismatch: saved {} vs built {}",
-                    saved.bytes_per_bank.len(),
-                    t.bytes_per_bank.len()
-                ));
-            }
-            t.vruntime = saved.vruntime;
-            t.cpu = saved.cpu;
-            t.possible_banks = BankVector::from_bits(saved.possible_banks);
-            t.last_alloced_bank = saved.last_alloced_bank;
-            t.mm.restore_state(&saved.mm)?;
-            t.bytes_per_bank.clone_from(&saved.bytes_per_bank);
-            t.spilled_pages = saved.spilled_pages;
-            t.cpu_time = saved.cpu_time;
-            t.schedules = saved.schedules;
-        }
-        for (sim, saved) in self.sims.iter_mut().zip(&s.sims) {
-            sim.wl.restore_state(&saved.wl)?;
-            sim.ctx.restore_state(&saved.ctx);
-            sim.pending = saved.pending.map(|p| PendingMem {
-                writeback: p.writeback,
-                fill: p.fill,
-                write: p.write,
-                dependent: p.dependent,
-            });
-            // The restored page table may disagree with whatever the
-            // live run had cached; the TLB is rebuilt on demand.
-            sim.tlb = Tlb::new();
-        }
-        self.sched.restore_state(&s.sched)?;
-        self.alloc.restore_state(&s.alloc)?;
-        self.inflight.clear();
-        for i in &s.inflight {
-            self.inflight.insert(i.id, (i.task, i.core, i.line));
-        }
-        for (b, saved) in self.base.iter_mut().zip(&s.base) {
-            *b = TaskSnapshot {
-                instructions: saved.instructions,
-                stall: saved.stall,
-                misses: saved.misses,
-                faults: saved.faults,
-                spilled: saved.spilled,
-                cpu_time: saved.cpu_time,
-                schedules: saved.schedules,
-            };
-        }
-        self.sched_base_stats = s.sched_base_stats;
-        self.clock = s.clock;
-        self.next_req = s.next_req;
-        self.measure_start = s.measure_start;
-        // The sanitizer is deliberately not checkpointed: a restored
-        // machine restarts auditing from the restore point with fresh
-        // checker state (deadline baselines re-anchor on first sample).
-        if self.san.is_some() {
-            self.san = Some(Box::new(Sanitizer::standard(
-                self.cfg.audit,
-                &audit_scope(&self.cfg, self.os_tasks.len() as u32),
-            )));
-            self.quanta = 0;
-            self.last_report = None;
-            for mc in &mut self.mcs {
-                mc.enable_trace();
-            }
-        }
-        Ok(())
-    }
-
-    /// Captures a framed, fingerprinted [`Checkpoint`] of this machine.
-    /// `mix` must be the workload mix the system was built from — it
-    /// contributes to the fingerprint that guards restoration.
-    pub fn checkpoint(&self, mix: &WorkloadMix) -> Checkpoint {
-        Checkpoint {
-            fingerprint: job_fingerprint(&self.cfg, mix),
-            state: self.export_state(),
-        }
-    }
-
-    /// Rebuilds a machine from `(cfg, mix)` and restores `cp` into it.
-    ///
-    /// # Errors
-    ///
-    /// [`RefsimError::Checkpoint`] when the checkpoint's fingerprint does
-    /// not match `(cfg, mix)` or its state is rejected on import, plus
-    /// anything [`System::try_new`] can return.
-    pub fn restore(
-        cfg: SystemConfig,
-        mix: &WorkloadMix,
-        cp: &Checkpoint,
-    ) -> Result<Self, RefsimError> {
-        cp.check_fingerprint(job_fingerprint(&cfg, mix))
-            .map_err(|e| RefsimError::Checkpoint(e.to_string()))?;
-        let mut sys = Self::try_new(cfg, mix)?;
-        sys.import_state(&cp.state)
-            .map_err(RefsimError::Checkpoint)?;
-        Ok(sys)
     }
 
     /// Marks the warm-up → measurement boundary: statistics reset while
@@ -1071,7 +919,7 @@ impl System {
     pub fn begin_measure(&mut self) {
         // Account partially-run quanta so cpu_time deltas stay exact.
         for c in 0..self.cores.len() {
-            self.checkpoint_running(c);
+            self.account_running(c);
         }
         for (i, sim) in self.sims.iter().enumerate() {
             let t = &self.os_tasks[i];
@@ -1102,7 +950,7 @@ impl System {
 
     /// Folds the running task's elapsed quantum into its `cpu_time`
     /// without descheduling it.
-    fn checkpoint_running(&mut self, c: usize) {
+    fn account_running(&mut self, c: usize) {
         let core = &mut self.cores[c];
         if let Some(cur) = core.current {
             let t = &mut self.os_tasks[cur as usize];
@@ -1116,7 +964,7 @@ impl System {
     /// Builds the measured-phase metrics.
     pub fn collect(&mut self) -> RunMetrics {
         for c in 0..self.cores.len() {
-            self.checkpoint_running(c);
+            self.account_running(c);
         }
         let tasks = (0..self.sims.len())
             .map(|i| {
@@ -1752,42 +1600,6 @@ mod tests {
         assert_eq!(m.tasks.len(), 8);
     }
 
-    /// Restoring a mid-run checkpoint into a fresh machine and advancing
-    /// both through the *same* `run_until` boundaries must be
-    /// bit-identical — byte-for-byte in the codec encoding, not merely
-    /// structurally equal.
-    #[test]
-    fn checkpoint_resume_is_bit_identical() {
-        for cfg in [
-            quick(SystemConfig::table1()),
-            quick(SystemConfig::table1().co_design()),
-        ] {
-            let mix = small_mix();
-            let mid = cfg.warmup;
-            let end = cfg.warmup + cfg.measure / 2;
-
-            let mut reference = System::new(cfg.clone(), &mix);
-            reference.run_until(mid);
-            let cp = reference.checkpoint(&mix);
-
-            let mut resumed = System::restore(cfg.clone(), &mix, &cp).expect("restore");
-            assert_eq!(resumed.now(), mid);
-            assert_eq!(
-                crate::codec::to_bytes(&resumed.export_state()),
-                crate::codec::to_bytes(&cp.state),
-                "import/export must be the identity"
-            );
-
-            reference.run_until(end);
-            resumed.run_until(end);
-            assert_eq!(
-                crate::codec::to_bytes(&reference.export_state()),
-                crate::codec::to_bytes(&resumed.export_state()),
-                "resumed run diverged from uninterrupted run"
-            );
-        }
-    }
-
     /// VPNs `v` and `v + 64` share a TLB set, so alternating them misses
     /// every time; each fall-through walk still returns the page table's
     /// translation, and the set holds only the latest of the two.
@@ -1814,116 +1626,6 @@ mod tests {
             sys.translate(0, w).expect("translate"),
         );
         assert_ne!(pv / PAGE_BYTES, pw / PAGE_BYTES);
-    }
-
-    /// Restoring into a machine that has already run further — its TLBs
-    /// warm with pages the checkpoint's page tables do not map yet — must
-    /// resume exactly like the uninterrupted run. `import_state` clears
-    /// every TLB, so each later first touch still faults its page in.
-    #[test]
-    fn restore_over_a_warm_tlb_is_bit_identical() {
-        let cfg = quick(SystemConfig::table1().co_design());
-        let mix = WorkloadMix::from_groups(
-            "tlb-conflict",
-            &[(Benchmark::Mcf, 2), (Benchmark::GemsFdtd, 2)],
-            "H + M",
-        );
-        let mid = cfg.warmup;
-        let end = cfg.warmup + cfg.measure / 2;
-
-        let mut reference = System::new(cfg.clone(), &mix);
-        reference.run_until(mid);
-        let state = reference.export_state();
-        reference.run_until(end);
-
-        let mut warm = System::new(cfg.clone(), &mix);
-        warm.run_until(end);
-        warm.import_state(&state).expect("same shape");
-        warm.run_until(end);
-        assert_eq!(
-            crate::codec::to_bytes(&reference.export_state()),
-            crate::codec::to_bytes(&warm.export_state()),
-            "a warm TLB leaked across the restore"
-        );
-    }
-
-    /// A checkpoint survives the framed byte format (not just the
-    /// in-memory structs) and still resumes bit-identically.
-    #[test]
-    fn checkpoint_survives_serialization() {
-        let cfg = quick(SystemConfig::table1().co_design());
-        let mix = small_mix();
-        let mut sys = System::new(cfg.clone(), &mix);
-        sys.run_until(cfg.warmup / 2);
-        let bytes = sys.checkpoint(&mix).to_bytes();
-        let cp = crate::checkpoint::Checkpoint::from_bytes(&bytes).expect("parse");
-        let restored = System::restore(cfg, &mix, &cp).expect("restore");
-        assert_eq!(
-            crate::codec::to_bytes(&restored.export_state()),
-            crate::codec::to_bytes(&sys.export_state())
-        );
-    }
-
-    /// Resuming across the warm-up → measurement boundary reproduces the
-    /// exact metrics of an uninterrupted run driven through the same
-    /// span boundaries.
-    #[test]
-    fn checkpoint_resume_reproduces_metrics() {
-        let cfg = quick(SystemConfig::table1());
-        let mix = small_mix();
-        let warm = cfg.warmup;
-        let end = cfg.warmup + cfg.measure;
-
-        let run_tail = |sys: &mut System| {
-            sys.begin_measure();
-            sys.try_run_until(end).expect("clean run");
-            sys.audit_retention();
-            sys.collect()
-        };
-
-        let mut reference = System::new(cfg.clone(), &mix);
-        reference.run_until(warm);
-        let cp = reference.checkpoint(&mix);
-        let m_ref = run_tail(&mut reference);
-
-        let mut resumed = System::restore(cfg, &mix, &cp).expect("restore");
-        let m_res = run_tail(&mut resumed);
-        assert_eq!(
-            format!("{:?}", m_ref),
-            format!("{:?}", m_res),
-            "metrics across a restore must match exactly"
-        );
-    }
-
-    #[test]
-    fn restore_rejects_wrong_config_or_mix() {
-        let cfg = quick(SystemConfig::table1());
-        let mix = small_mix();
-        let mut sys = System::new(cfg.clone(), &mix);
-        sys.run_until(cfg.warmup / 4);
-        let cp = sys.checkpoint(&mix);
-
-        let other_mix = WorkloadMix::from_groups("other", &[(Benchmark::Stream, 2)], "M");
-        assert!(matches!(
-            System::restore(cfg.clone(), &other_mix, &cp),
-            Err(RefsimError::Checkpoint(_))
-        ));
-        assert!(matches!(
-            System::restore(quick(SystemConfig::table1().co_design()), &mix, &cp),
-            Err(RefsimError::Checkpoint(_))
-        ));
-        // The original pair still restores.
-        assert!(System::restore(cfg, &mix, &cp).is_ok());
-    }
-
-    #[test]
-    fn import_rejects_mismatched_shape() {
-        let cfg = quick(SystemConfig::table1());
-        let state = System::new(cfg.clone(), &small_mix()).export_state();
-        let solo = WorkloadMix::from_groups("solo", &[(Benchmark::Povray, 1)], "L");
-        let mut target = System::new(cfg, &solo);
-        let err = target.import_state(&state).unwrap_err();
-        assert!(err.contains("task count"), "{err}");
     }
 
     // ---- simsan: clean runs are quiet, injected faults are caught ----

@@ -40,10 +40,11 @@ use crate::vfs::{std_vfs, FaultSchedule, FaultVfs, OpRecord, Vfs};
 const DENSE_CELLS: u64 = 8;
 
 /// The cached sweep a crash matrix is enumerated over. Each unique cell
-/// issues five I/O operations (a cost peek, a lookup, and the store's
-/// directory creation, temp write and rename), so the operation count
-/// grows with the number of cells. One duplicate cell keeps dedup
-/// fan-out on the path.
+/// issues four I/O operations (a lookup, and the store's directory
+/// creation, temp write and rename), so the operation count grows with
+/// the number of cells: 8 for [`CrashScenario::tiny`], 32 for
+/// [`CrashScenario::dense`]. One duplicate cell keeps dedup fan-out on
+/// the path.
 #[derive(Debug, Clone)]
 pub struct CrashScenario {
     /// The jobs of the sweep.
@@ -470,10 +471,7 @@ mod tests {
         let scn = CrashScenario::tiny(21);
         let root = root("stride");
         let (total, _) = probe(&scn, &root);
-        assert!(
-            total >= 10,
-            "two unique cells issue five I/O ops each, got {total}"
-        );
+        assert_eq!(total, 8, "two unique cells issue four I/O ops each");
         let matrix = enumerate(&scn, &root, total / 4, FaultMode::Crash);
         assert_eq!(matrix.total_ops, total);
         assert!(matrix.points.len() >= 4, "{}", matrix.summary());

@@ -220,23 +220,6 @@ fn engines_are_bit_identical_at_command_pitch() {
     }
 }
 
-/// Checkpoint/restore rewinds `next_req`, so resumed runs re-insert
-/// previously used request ids into the inflight table. The FNV map's
-/// backward-shift deletion must keep probe chains intact through that
-/// reuse — the resumed replay must be bit-identical end to end.
-#[test]
-fn inflight_id_reuse_across_restore_is_bit_identical() {
-    let cfg = quick(SystemConfig::table1()).with_engine(EngineKind::EventSkip);
-    let report =
-        replay::replay_verify_resumed(&cfg, &small_mix(), &ReplayOptions::for_config(&cfg))
-            .expect("resumed replay must run clean");
-    assert!(
-        report.is_clean(),
-        "id reuse after restore corrupted state: {:?}",
-        report.divergence
-    );
-}
-
 /// Allocation surgery: once warmed up, the hot loop's reusable buffers
 /// (DRAM trace, completion drain, skip bounds, inflight slots) must stop
 /// growing — steady-state stepping performs zero allocations in the

@@ -3,6 +3,8 @@
 //! decides *where* and *when* a cell runs, never *what* it computes —
 //! for healthy, failing, and cache-served job sets.
 
+use std::path::PathBuf;
+
 use proptest::prelude::*;
 use refsim_core::experiment::Job;
 use refsim_core::prelude::*;
@@ -54,10 +56,23 @@ fn mixed_jobs(base_seed: u64) -> Vec<Job> {
     ]
 }
 
-fn tmp_cache(tag: &str) -> RunCache {
-    let d = std::env::temp_dir().join(format!("refsim-exec-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&d);
-    RunCache::new(d)
+/// A fresh directory under the system temp dir, removed when dropped:
+/// when its case ends, and also when a failed assertion unwinds or
+/// returns early through it.
+struct TmpDir(PathBuf);
+
+impl TmpDir {
+    fn new(tag: &str) -> Self {
+        let d = std::env::temp_dir().join(format!("refsim-exec-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&d);
+        TmpDir(d)
+    }
+}
+
+impl Drop for TmpDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Debug strings are the bit-identity witness: they cover every metric
@@ -98,14 +113,15 @@ proptest! {
     }
 
     /// Every worker count populates a fresh cache with the same replay
-    /// hashes, and a warm re-run (cost-model-ordered dispatch, cells
-    /// served from disk) returns the same bytes as its cold run.
+    /// hashes, and a warm re-run (cells served from disk) returns the
+    /// same bytes as its cold run.
     #[test]
     fn cached_sweeps_are_bit_identical_across_worker_counts(seed in 0u64..1024) {
         let jobs = mixed_jobs(seed);
         let mut want: Option<(Vec<String>, Vec<Option<u64>>)> = None;
         for threads in THREAD_MATRIX {
-            let cache = tmp_cache(&format!("m{threads}-{seed}"));
+            let dir = TmpDir::new(&format!("m{threads}-{seed}"));
+            let cache = RunCache::new(&dir.0);
             let opts = SweepOptions {
                 cache: Some(cache.clone()),
                 ..SweepOptions::default()

@@ -115,7 +115,7 @@ impl CacheStats {
     }
 }
 
-/// One tag-store line, captured for checkpointing.
+/// One tag-store line, captured for state hashing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SavedLine {
     /// Line tag.
@@ -128,8 +128,8 @@ pub struct SavedLine {
     pub stamp: u64,
 }
 
-/// Dynamic state of a [`Cache`], captured for checkpointing. The shape
-/// is configuration and is re-derived on restore.
+/// Dynamic state of a [`Cache`], captured for state hashing. The shape
+/// is configuration, not state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedCache {
     /// All tag-store lines, row-major by set.
@@ -214,7 +214,7 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Captures the tag-store contents and counters for checkpointing.
+    /// Captures the tag-store contents and counters as plain data.
     pub fn save_state(&self) -> SavedCache {
         SavedCache {
             lines: self
@@ -232,29 +232,6 @@ impl Cache {
             tick: self.tick,
             stats: self.stats,
         }
-    }
-
-    /// Reinstates state captured by [`Cache::save_state`] into a cache of
-    /// the same shape.
-    pub fn restore_state(&mut self, saved: &SavedCache) -> Result<(), String> {
-        if saved.lines.len() != self.keys.len() {
-            return Err(format!(
-                "cache line count mismatch: saved {}, expected {}",
-                saved.lines.len(),
-                self.keys.len()
-            ));
-        }
-        if let Some(l) = saved.lines.iter().find(|l| l.tag >> 63 != 0) {
-            return Err(format!("cache tag {:#x} is wider than 63 bits", l.tag));
-        }
-        for (i, src) in saved.lines.iter().enumerate() {
-            self.keys[i] = src.tag << 1 | u64::from(src.valid);
-            self.stamps[i] = src.stamp;
-            self.dirty[i] = src.dirty;
-        }
-        self.tick = saved.tick;
-        self.stats = saved.stats;
-        Ok(())
     }
 
     /// Line-aligns an address.
@@ -514,17 +491,6 @@ mod tests {
             }
         }
         assert_eq!(wb, Some(addr));
-    }
-
-    #[test]
-    fn restore_rejects_a_tag_without_room_for_the_valid_bit() {
-        let mut c = Cache::new(CacheConfig::l1_32k());
-        let mut saved = c.save_state();
-        saved.lines[3].tag = 1 << 63;
-        assert!(c.restore_state(&saved).unwrap_err().contains("63 bits"));
-        saved.lines[3].tag = u64::MAX >> 1;
-        assert!(c.restore_state(&saved).is_ok());
-        assert_eq!(c.save_state(), saved);
     }
 
     #[test]

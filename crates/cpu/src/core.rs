@@ -152,7 +152,7 @@ pub struct ExecContext {
     misses: u64,
 }
 
-/// Dynamic state of an [`ExecContext`], captured for checkpointing.
+/// Dynamic state of an [`ExecContext`], captured for state hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedExecContext {
     /// Core-local time.
@@ -175,7 +175,7 @@ impl ExecContext {
         Self::default()
     }
 
-    /// Captures the full context state for checkpointing.
+    /// Captures the full context state as plain data.
     pub fn save_state(&self) -> SavedExecContext {
         SavedExecContext {
             now: self.now,
@@ -189,25 +189,6 @@ impl ExecContext {
             stall_time: self.stall_time,
             misses: self.misses,
         }
-    }
-
-    /// Reinstates state captured by [`ExecContext::save_state`],
-    /// replacing whatever this context held.
-    pub fn restore_state(&mut self, saved: &SavedExecContext) {
-        self.now = saved.now;
-        self.issued = saved.issued;
-        self.outstanding = saved
-            .outstanding
-            .iter()
-            .map(|&(id, pos, is_load)| Outstanding {
-                id: ReqId(id),
-                pos,
-                is_load,
-            })
-            .collect();
-        self.dependent_block = saved.dependent_block.map(ReqId);
-        self.stall_time = saved.stall_time;
-        self.misses = saved.misses;
     }
 
     /// Core-local current time.

@@ -61,9 +61,8 @@ pub struct CacheHierarchy {
     stats: HierStats,
     /// Hot-line memo for [`CacheHierarchy::access`]: the last line
     /// that hit the L1 and the tag-store slot holding it. Runtime-only
-    /// acceleration state — never checkpointed, cleared on restore and
-    /// on every access that can move lines, so a stale slot can never be
-    /// touched.
+    /// acceleration state — never exported, cleared on every access
+    /// that can move lines, so a stale slot can never be touched.
     hot: Option<(u64, usize)>,
 }
 
@@ -169,8 +168,8 @@ impl CacheHierarchy {
         self.l2.reset_stats();
     }
 
-    /// Captures both tag stores and the hierarchy counters for
-    /// checkpointing.
+    /// Captures both tag stores and the hierarchy counters as plain
+    /// data.
     pub fn save_state(&self) -> SavedHierarchy {
         SavedHierarchy {
             l1: self.l1.save_state(),
@@ -178,19 +177,9 @@ impl CacheHierarchy {
             stats: self.stats,
         }
     }
-
-    /// Reinstates state captured by [`CacheHierarchy::save_state`] into a
-    /// hierarchy of the same shape.
-    pub fn restore_state(&mut self, saved: &SavedHierarchy) -> Result<(), String> {
-        self.hot = None;
-        self.l1.restore_state(&saved.l1)?;
-        self.l2.restore_state(&saved.l2)?;
-        self.stats = saved.stats;
-        Ok(())
-    }
 }
 
-/// Dynamic state of a [`CacheHierarchy`], captured for checkpointing.
+/// Dynamic state of a [`CacheHierarchy`], captured for state hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedHierarchy {
     /// L1 tag store.

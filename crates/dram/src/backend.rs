@@ -111,24 +111,13 @@ impl BackendDescriptor {
 }
 
 /// Portable image of a backend's full dynamic state, tagged by model so
-/// a checkpoint restored into the wrong backend is rejected instead of
-/// silently misinterpreted.
+/// the two backends' images never hash alike.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SavedBackend {
     /// State of a [`MemoryController`].
     Primary(SavedController),
     /// State of a [`ShadowController`].
     Shadow(SavedShadow),
-}
-
-impl SavedBackend {
-    /// Which backend produced this image.
-    pub fn kind(&self) -> BackendKind {
-        match self {
-            SavedBackend::Primary(_) => BackendKind::Primary,
-            SavedBackend::Shadow(_) => BackendKind::Shadow,
-        }
-    }
 }
 
 /// A per-channel DRAM timing model (see the module docs for the
@@ -241,18 +230,9 @@ pub trait MemoryBackend: fmt::Debug + Send {
     /// violation count (0 when tracking is disabled).
     fn audit_retention(&mut self, now: Ps) -> u64;
 
-    /// Captures the backend's full dynamic state for checkpointing.
+    /// Captures the backend's full dynamic state as plain data, for the
+    /// replay auditor's state hashes.
     fn save_backend(&self) -> SavedBackend;
-
-    /// Restores state captured by [`save_backend`](Self::save_backend)
-    /// into this backend, which must have been built with the same
-    /// configuration.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first structural mismatch — including a
-    /// saved image produced by the *other* backend kind.
-    fn restore_backend(&mut self, saved: &SavedBackend) -> Result<(), String>;
 }
 
 impl MemoryBackend for MemoryController {
@@ -367,17 +347,6 @@ impl MemoryBackend for MemoryController {
     fn save_backend(&self) -> SavedBackend {
         SavedBackend::Primary(self.save_state())
     }
-
-    fn restore_backend(&mut self, saved: &SavedBackend) -> Result<(), String> {
-        match saved {
-            SavedBackend::Primary(s) => self.restore_state(s),
-            SavedBackend::Shadow(_) => Err(
-                "backend kind mismatch: saved image is from the shadow model, \
-                 this channel runs the primary controller"
-                    .to_owned(),
-            ),
-        }
-    }
 }
 
 /// Builds a boxed backend of `kind` for the channel described by
@@ -451,20 +420,6 @@ mod tests {
         let err = b.descriptor().validate_geometry(&other).unwrap_err();
         assert!(err.contains("geometry handshake failed"), "{err}");
         assert!(err.contains("primary"), "{err}");
-    }
-
-    #[test]
-    fn cross_kind_restore_is_rejected() {
-        let primary = backend(BackendKind::Primary);
-        let mut shadow = backend(BackendKind::Shadow);
-        let saved = primary.save_backend();
-        assert_eq!(saved.kind(), BackendKind::Primary);
-        let err = shadow.restore_backend(&saved).unwrap_err();
-        assert!(err.contains("kind mismatch"), "{err}");
-        let saved_shadow = shadow.save_backend();
-        assert_eq!(saved_shadow.kind(), BackendKind::Shadow);
-        let mut primary2 = backend(BackendKind::Primary);
-        assert!(primary2.restore_backend(&saved_shadow).is_err());
     }
 
     #[test]

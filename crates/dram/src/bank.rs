@@ -26,7 +26,7 @@ pub enum BankPhase {
     Refreshing,
 }
 
-/// Dynamic state of one bank lane, captured for checkpointing.
+/// Dynamic state of one bank lane, captured for state hashing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SavedBank {
     /// Current phase.
@@ -64,9 +64,8 @@ const NO_ROW: u32 = u32::MAX;
 /// unit tests operation for operation (pinned by the
 /// `lanes_mirror_bank_exactly` test).
 ///
-/// Checkpoints go through [`save_lane`](BankLanes::save_lane) /
-/// [`restore_lane`](BankLanes::restore_lane) and the [`SavedBank`]
-/// image.
+/// [`save_lane`](BankLanes::save_lane) exports one lane as a
+/// [`SavedBank`] image.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BankLanes {
     phase: Vec<BankPhase>,
@@ -270,7 +269,7 @@ impl BankLanes {
         self.refresh_busy_total[i] += trfc;
     }
 
-    /// Captures lane `i` in the [`SavedBank`] checkpoint image.
+    /// Captures lane `i` as a [`SavedBank`] image.
     pub fn save_lane(&self, i: usize) -> SavedBank {
         SavedBank {
             phase: self.phase[i],
@@ -283,19 +282,6 @@ impl BankLanes {
             refresh_busy_total: self.refresh_busy_total[i],
             activations: self.activations[i],
         }
-    }
-
-    /// Reinstates lane `i` from a [`SavedBank`] image.
-    pub fn restore_lane(&mut self, i: usize, saved: &SavedBank) {
-        self.phase[i] = saved.phase;
-        self.open_row[i] = saved.open_row.unwrap_or(NO_ROW);
-        self.next_act[i] = saved.next_act;
-        self.next_pre[i] = saved.next_pre;
-        self.next_cas[i] = saved.next_cas;
-        self.busy_until[i] = saved.busy_until;
-        self.rows_refreshed[i] = saved.rows_refreshed;
-        self.refresh_busy_total[i] = saved.refresh_busy_total;
-        self.activations[i] = saved.activations;
     }
 }
 
@@ -386,7 +372,7 @@ impl RankState {
         self.refresh_busy_total += trfc;
     }
 
-    /// Captures the full rank timing state for checkpointing.
+    /// Captures the full rank timing state as plain data.
     pub fn save_state(&self) -> SavedRank {
         SavedRank {
             recent_acts: self.recent_acts,
@@ -397,19 +383,9 @@ impl RankState {
             refresh_busy_total: self.refresh_busy_total,
         }
     }
-
-    /// Reinstates state captured by [`RankState::save_state`].
-    pub fn restore_state(&mut self, saved: &SavedRank) {
-        self.recent_acts = saved.recent_acts;
-        self.act_count = saved.act_count;
-        self.next_act_rank = saved.next_act_rank;
-        self.next_rd_rank = saved.next_rd_rank;
-        self.refresh_until = saved.refresh_until;
-        self.refresh_busy_total = saved.refresh_busy_total;
-    }
 }
 
-/// Dynamic state of a [`RankState`], captured for checkpointing.
+/// Dynamic state of a [`RankState`], captured for state hashing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SavedRank {
     /// Most recent ACT times (tFAW window).
@@ -622,7 +598,7 @@ mod tests {
             self.refresh_busy_total += trfc;
         }
 
-        /// Captures the full bank timing state for checkpointing.
+        /// Captures the full bank timing state as plain data.
         pub fn save_state(&self) -> SavedBank {
             SavedBank {
                 phase: self.phase,
@@ -635,19 +611,6 @@ mod tests {
                 refresh_busy_total: self.refresh_busy_total,
                 activations: self.activations,
             }
-        }
-
-        /// Reinstates state captured by `Bank::save_state`.
-        pub fn restore_state(&mut self, saved: &SavedBank) {
-            self.phase = saved.phase;
-            self.open_row = saved.open_row;
-            self.next_act = saved.next_act;
-            self.next_pre = saved.next_pre;
-            self.next_cas = saved.next_cas;
-            self.busy_until = saved.busy_until;
-            self.rows_refreshed = saved.rows_refreshed;
-            self.refresh_busy_total = saved.refresh_busy_total;
-            self.activations = saved.activations;
         }
     }
 
@@ -734,7 +697,7 @@ mod tests {
     fn lanes_mirror_bank_exactly() {
         // Drive a scalar Bank and one BankLanes lane through the same
         // pseudo-random legal command stream; every observable (queries,
-        // returned data-end instants, checkpoint images) must agree at
+        // returned data-end instants, saved images) must agree at
         // every step.
         let tp = t();
         let trfc = Ps::from_ns(387);
@@ -791,16 +754,8 @@ mod tests {
             }
             assert_eq!(b.save_state(), l.save_lane(lane), "step {step}");
         }
-        // Untouched lanes stayed pristine, and checkpoints round-trip
-        // across layouts.
+        // Untouched lanes stayed pristine.
         assert_eq!(l.save_lane(0), Bank::new().save_state());
-        let img = b.save_state();
-        let mut l2 = BankLanes::new(1);
-        l2.restore_lane(0, &img);
-        assert_eq!(l2.save_lane(0), img);
-        let mut b2 = Bank::new();
-        b2.restore_state(&l.save_lane(lane));
-        assert_eq!(b2.save_state(), img);
     }
 
     #[test]

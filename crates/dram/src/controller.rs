@@ -17,7 +17,7 @@ use crate::geometry::BankId;
 use crate::integrity::{IntegrityConfig, RefreshFaults, RetentionTracker, SavedTracker};
 use crate::mapping::AddressMapping;
 use crate::refresh::{BusyForecast, QueueSnapshot, RefreshOp, RefreshPolicy, RefreshPolicyKind};
-use crate::request::{Completion, MemRequest, ReqId, ReqKind};
+use crate::request::{Completion, MemRequest, ReqKind};
 use crate::stats::ControllerStats;
 use crate::time::Ps;
 use crate::timing::{RefreshTiming, TimingParams};
@@ -102,8 +102,7 @@ pub struct TraceEntry {
 
 /// Portable image of one queued transaction (see
 /// [`MemoryController::save_state`]). The DRAM [`crate::mapping::Location`]
-/// is not stored — it is re-derived from `paddr` through the rebuilt
-/// controller's address mapping on restore.
+/// is not stored: it is a function of `paddr` and the address mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SavedEntry {
     /// Requester-assigned id ([`crate::request::ReqId`] payload).
@@ -140,14 +139,13 @@ pub struct SavedPendingRefresh {
 /// Portable image of the full dynamic state of a [`MemoryController`],
 /// produced by [`MemoryController::save_state`].
 ///
-/// Captures everything needed to resume to a bit-identical future:
+/// Captures everything that determines the controller's future:
 /// bank/rank timing state, both transaction queues, bus bookkeeping,
 /// the in-flight refresh, utilization-epoch accumulators, undrained
 /// completions, statistics, the retention-oracle ledger, and the refresh
 /// policy's internal schedule (as opaque words). Deliberately *not*
 /// captured: the command trace buffer (diagnostic only) and the fault
-/// plan / configuration (both are inputs re-supplied when the controller
-/// is rebuilt).
+/// plan / configuration (inputs, not state).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SavedController {
     /// Per-bank state, flat-indexed.
@@ -756,13 +754,8 @@ impl MemoryController {
         Ok(None)
     }
 
-    /// Captures the controller's full dynamic state for checkpointing.
-    ///
-    /// The image pairs with a controller rebuilt from the *same*
-    /// configuration (mapping, timing, policy kind, queue sizing):
-    /// restore re-derives DRAM locations from physical addresses and
-    /// hands the policy back its schedule words, so any structural
-    /// mismatch is rejected by [`restore_state`](Self::restore_state).
+    /// Captures the controller's full dynamic state as plain data, for
+    /// the replay auditor's state hashes.
     pub fn save_state(&self) -> SavedController {
         let save_entry = |e: &Entry| SavedEntry {
             id: e.req.id.0,
@@ -801,120 +794,6 @@ impl MemoryController {
             refresh_seq: self.refresh_seq,
             policy_words: self.policy.save_words(),
         }
-    }
-
-    /// Restores the dynamic state captured by
-    /// [`save_state`](Self::save_state) into this controller, which must
-    /// have been built with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// A description of the first structural mismatch (bank/rank counts,
-    /// queue overflow, integrity-tracking presence, or policy words the
-    /// active policy rejects). The controller may be partially updated
-    /// when an error is returned; callers treat that as fatal and
-    /// discard it.
-    pub fn restore_state(&mut self, s: &SavedController) -> Result<(), String> {
-        if s.banks.len() != self.lanes.len() {
-            return Err(format!(
-                "bank count mismatch: saved {}, controller {}",
-                s.banks.len(),
-                self.lanes.len()
-            ));
-        }
-        if s.ranks.len() != self.ranks.len() {
-            return Err(format!(
-                "rank count mismatch: saved {}, controller {}",
-                s.ranks.len(),
-                self.ranks.len()
-            ));
-        }
-        if s.read_q.len() > self.cfg.read_queue {
-            return Err(format!(
-                "saved read queue ({}) exceeds capacity {}",
-                s.read_q.len(),
-                self.cfg.read_queue
-            ));
-        }
-        if s.write_q.len() > self.cfg.write_queue {
-            return Err(format!(
-                "saved write queue ({}) exceeds capacity {}",
-                s.write_q.len(),
-                self.cfg.write_queue
-            ));
-        }
-        if !self.policy.load_words(&s.policy_words) {
-            return Err(format!(
-                "refresh policy {:?} rejected {} saved schedule words",
-                self.policy.kind(),
-                s.policy_words.len()
-            ));
-        }
-        match (&mut self.integrity, &s.integrity) {
-            (Some(t), Some(saved)) => t
-                .restore_state(saved)
-                .map_err(|e| format!("retention tracker: {e}"))?,
-            (None, None) => {}
-            (have, _) => {
-                return Err(format!(
-                    "integrity tracking mismatch: saved {}, controller {}",
-                    if s.integrity.is_some() { "on" } else { "off" },
-                    if have.is_some() { "on" } else { "off" },
-                ));
-            }
-        }
-        for (f, saved) in s.banks.iter().enumerate() {
-            self.lanes.restore_lane(f, saved);
-        }
-        for (r, saved) in self.ranks.iter_mut().zip(&s.ranks) {
-            r.restore_state(saved);
-        }
-        let load_entry = |e: &SavedEntry, mapping: &AddressMapping| Entry {
-            req: MemRequest {
-                id: ReqId(e.id),
-                kind: if e.write {
-                    ReqKind::Write
-                } else {
-                    ReqKind::Read
-                },
-                paddr: e.paddr,
-                loc: mapping.decode(e.paddr),
-                arrival: e.arrival,
-                core: e.core,
-                task: e.task,
-            },
-            needed_act: e.needed_act,
-            needed_pre: e.needed_pre,
-            refresh_blocked: e.refresh_blocked,
-        };
-        self.read_q = s
-            .read_q
-            .iter()
-            .map(|e| load_entry(e, &self.mapping))
-            .collect();
-        self.write_q = s
-            .write_q
-            .iter()
-            .map(|e| load_entry(e, &self.mapping))
-            .collect();
-        self.draining = s.draining;
-        self.cursor = s.cursor;
-        self.cmd_bus_free = s.cmd_bus_free;
-        self.data_bus_free = s.data_bus_free;
-        self.data_bus_owner = s.data_bus_owner;
-        self.pending_refresh = s.pending_refresh.map(|p| PendingRefresh {
-            op: p.op,
-            due: p.due,
-            injected_delay: p.injected_delay,
-        });
-        self.epoch_start = s.epoch_start;
-        self.epoch_bus_busy = s.epoch_bus_busy;
-        self.last_utilization = s.last_utilization;
-        self.completions = s.completions.clone();
-        self.stats = s.stats.clone();
-        self.refresh_seq = s.refresh_seq;
-        self.plan_cache = None;
-        Ok(())
     }
 
     // ---- internals ----------------------------------------------------
@@ -1032,8 +911,8 @@ impl MemoryController {
     ///
     /// The decision is memoized: planning is pure in everything but the
     /// idempotent in-scope settles, so the result stays valid until the
-    /// cursor moves or state mutates (enqueue, execute, epoch roll,
-    /// restore — each clears the memo). This removes the double planning
+    /// cursor moves or state mutates (enqueue, execute, epoch roll —
+    /// each clears the memo). This removes the double planning
     /// pass the engines otherwise pay per step (`next_event_time`
     /// followed by the advance itself).
     fn plan(&mut self) -> Option<(Ps, Action)> {

@@ -387,7 +387,7 @@ impl RetentionTracker {
     }
 
     /// Captures the sweep ledger, weak-row clocks, and violation record
-    /// for checkpointing.
+    /// as plain data.
     pub fn save_state(&self) -> SavedTracker {
         SavedTracker {
             banks: self
@@ -403,46 +403,10 @@ impl RetentionTracker {
             total: self.total,
         }
     }
-
-    /// Reinstates state captured by [`RetentionTracker::save_state`] into
-    /// a tracker built with the same geometry and weak-row set.
-    pub fn restore_state(&mut self, saved: &SavedTracker) -> Result<(), String> {
-        if saved.banks.len() != self.banks.len() {
-            return Err(format!(
-                "tracker bank count mismatch: saved {}, expected {}",
-                saved.banks.len(),
-                self.banks.len()
-            ));
-        }
-        if saved.weak_last.len() != self.weak.len() {
-            return Err(format!(
-                "weak-row count mismatch: saved {}, expected {}",
-                saved.weak_last.len(),
-                self.weak.len()
-            ));
-        }
-        for (dst, src) in self.banks.iter_mut().zip(&saved.banks) {
-            if src.spans.is_empty() {
-                return Err("saved span ring is empty".to_owned());
-            }
-            dst.cursor = src.cursor;
-            dst.spans = src
-                .spans
-                .iter()
-                .map(|&(start, end, at)| Span { start, end, at })
-                .collect();
-        }
-        for ((_, last), &saved_last) in self.weak.iter_mut().zip(&saved.weak_last) {
-            *last = saved_last;
-        }
-        self.violations.clone_from(&saved.violations);
-        self.total = saved.total;
-        Ok(())
-    }
 }
 
-/// Per-bank sweep state of a [`RetentionTracker`], captured for
-/// checkpointing.
+/// Per-bank sweep state of a [`RetentionTracker`], captured for state
+/// hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedBankTrack {
     /// Sweep cursor (next row to refresh).
@@ -451,9 +415,8 @@ pub struct SavedBankTrack {
     pub spans: Vec<(u32, u32, Ps)>,
 }
 
-/// Dynamic state of a [`RetentionTracker`], captured for checkpointing.
-/// The config and weak-row definitions are configuration and are
-/// re-derived on restore.
+/// Dynamic state of a [`RetentionTracker`], captured for state hashing.
+/// The config and weak-row definitions are configuration, not state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedTracker {
     /// Per-bank sweep ledgers.

@@ -141,24 +141,6 @@ impl RefreshPolicy for AdaptiveRefresh {
         words.push(self.switches);
         words
     }
-
-    fn load_words(&mut self, words: &[u64]) -> bool {
-        if words.len() != self.due.len() + 2 {
-            return false;
-        }
-        let mode = match words[0] {
-            0 => FgrMode::X1,
-            1 => FgrMode::X2,
-            2 => FgrMode::X4,
-            _ => return false,
-        };
-        self.mode = mode;
-        for (d, &w) in self.due.iter_mut().zip(&words[1..]) {
-            *d = Ps(w);
-        }
-        self.switches = words[words.len() - 1];
-        true
-    }
 }
 
 #[cfg(test)]

@@ -117,16 +117,6 @@ impl RefreshPolicy for AllBankPolicy {
     fn save_words(&self) -> Vec<u64> {
         self.due.iter().map(|d| d.as_ps()).collect()
     }
-
-    fn load_words(&mut self, words: &[u64]) -> bool {
-        if words.len() != self.due.len() {
-            return false;
-        }
-        for (d, &w) in self.due.iter_mut().zip(words) {
-            *d = Ps(w);
-        }
-        true
-    }
 }
 
 #[cfg(test)]

@@ -127,21 +127,6 @@ impl RefreshPolicy for ElasticRefresh {
         words.push(self.postponements);
         words
     }
-
-    fn load_words(&mut self, words: &[u64]) -> bool {
-        let ranks = self.due.len();
-        if words.len() != 2 * ranks + 1 {
-            return false;
-        }
-        for (d, &w) in self.owed_from.iter_mut().zip(&words[..ranks]) {
-            *d = Ps(w);
-        }
-        for (d, &w) in self.due.iter_mut().zip(&words[ranks..2 * ranks]) {
-            *d = Ps(w);
-        }
-        self.postponements = words[2 * ranks];
-        true
-    }
 }
 
 #[cfg(test)]

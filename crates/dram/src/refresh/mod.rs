@@ -189,19 +189,10 @@ pub trait RefreshPolicy: fmt::Debug + Send {
     }
 
     /// Serializes the policy's dynamic schedule state as raw words for
-    /// checkpointing (times via [`Ps::as_ps`], floats via `to_bits`).
+    /// state hashing (times via [`Ps::as_ps`], floats via `to_bits`).
     /// Stateless policies return an empty vector.
     fn save_words(&self) -> Vec<u64> {
         Vec::new()
-    }
-
-    /// Reinstates state captured by
-    /// [`save_words`](RefreshPolicy::save_words) into a freshly built
-    /// policy of the same kind and geometry. Returns `false` when the
-    /// word stream does not match what this policy expects.
-    #[must_use]
-    fn load_words(&mut self, words: &[u64]) -> bool {
-        words.is_empty()
     }
 }
 

@@ -150,44 +150,6 @@ impl RefreshPolicy for OooPerBank {
         words.extend(self.pending_left.iter().map(|&n| u64::from(n)));
         words
     }
-
-    fn load_words(&mut self, words: &[u64]) -> bool {
-        let ranks = self.due.len();
-        let bpr = self.banks_per_rank as usize;
-        if words.len() != ranks * (2 + bpr) {
-            return false;
-        }
-        let (due_w, rest) = words.split_at(ranks);
-        let (pending_w, left_w) = rest.split_at(ranks * bpr);
-        if pending_w.iter().any(|&w| w > 1) {
-            return false;
-        }
-        if left_w.iter().any(|&w| w > u64::from(self.banks_per_rank)) {
-            return false;
-        }
-        // Each rank's pending-left count must match its pending flags.
-        for r in 0..ranks {
-            let set = pending_w[r * bpr..(r + 1) * bpr]
-                .iter()
-                .filter(|&&w| w == 1)
-                .count() as u64;
-            if set != left_w[r] {
-                return false;
-            }
-        }
-        for (d, &w) in self.due.iter_mut().zip(due_w) {
-            *d = Ps(w);
-        }
-        for (r, rank) in self.pending.iter_mut().enumerate() {
-            for (b, flag) in rank.iter_mut().enumerate() {
-                *flag = pending_w[r * bpr + b] == 1;
-            }
-        }
-        for (l, &w) in self.pending_left.iter_mut().zip(left_w) {
-            *l = w as u32;
-        }
-        true
-    }
 }
 
 #[cfg(test)]

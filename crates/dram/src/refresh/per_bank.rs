@@ -120,27 +120,6 @@ impl RefreshPolicy for PerBankRoundRobin {
         w.extend(self.cursor.iter().map(|&c| u64::from(c)));
         w
     }
-
-    fn load_words(&mut self, words: &[u64]) -> bool {
-        let ranks = self.base.due.len();
-        if words.len() != ranks + self.cursor.len() {
-            return false;
-        }
-        let (due, cursor) = words.split_at(ranks);
-        if cursor
-            .iter()
-            .any(|&c| c >= u64::from(self.base.banks_per_rank))
-        {
-            return false;
-        }
-        for (d, &w) in self.base.due.iter_mut().zip(due) {
-            *d = Ps(w);
-        }
-        for (c, &w) in self.cursor.iter_mut().zip(cursor) {
-            *c = w as u32;
-        }
-        true
-    }
 }
 
 /// **The proposed per-bank refresh schedule** (Algorithm 1, Figure 7):
@@ -303,37 +282,6 @@ impl RefreshPolicy for PerBankSequential {
         w.extend(&self.rows_done);
         w.extend(&self.slices_done);
         w
-    }
-
-    fn load_words(&mut self, words: &[u64]) -> bool {
-        let engines = self.base.due.len();
-        let ranks = self.next_refresh_bank.len();
-        if words.len() != engines + 3 * ranks + 1 {
-            return false;
-        }
-        let (due, rest) = words.split_at(engines);
-        let (next_bank, rest) = rest.split_at(ranks);
-        let Some((serial_rank, rest)) = rest.split_first() else {
-            return false; // unreachable given the length check above
-        };
-        let (rows_done, slices_done) = rest.split_at(ranks);
-        if next_bank
-            .iter()
-            .any(|&b| b >= u64::from(self.base.banks_per_rank))
-            || *serial_rank >= u64::from(self.base.ranks)
-        {
-            return false;
-        }
-        for (d, &w) in self.base.due.iter_mut().zip(due) {
-            *d = Ps(w);
-        }
-        for (b, &w) in self.next_refresh_bank.iter_mut().zip(next_bank) {
-            *b = w as u32;
-        }
-        self.serial_rank = *serial_rank as u32;
-        self.rows_done.copy_from_slice(rows_done);
-        self.slices_done.copy_from_slice(slices_done);
-        true
     }
 }
 

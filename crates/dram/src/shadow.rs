@@ -47,7 +47,7 @@ use crate::geometry::BankId;
 use crate::integrity::{IntegrityConfig, RefreshFaults, RetentionTracker, SavedTracker};
 use crate::mapping::AddressMapping;
 use crate::refresh::{BusyForecast, QueueSnapshot, RefreshOp, RefreshPolicy, RefreshPolicyKind};
-use crate::request::{Completion, MemRequest, ReqId, ReqKind};
+use crate::request::{Completion, MemRequest, ReqKind};
 use crate::stats::ControllerStats;
 use crate::time::Ps;
 use crate::timing::{RefreshTiming, TimingParams};
@@ -927,7 +927,8 @@ impl ShadowController {
         }
     }
 
-    /// Captures the shadow's full dynamic state for checkpointing.
+    /// Captures the shadow's full dynamic state as plain data, for the
+    /// replay auditor's state hashes.
     pub fn save_state(&self) -> SavedShadow {
         let save_entry = |e: &ShadowEntry| SavedEntry {
             id: e.req.id.0,
@@ -987,127 +988,6 @@ impl ShadowController {
             refresh_seq: self.refresh_seq,
             policy_words: self.policy.save_words(),
         }
-    }
-
-    /// Restores state captured by [`save_state`](Self::save_state).
-    ///
-    /// # Errors
-    ///
-    /// A description of the first structural mismatch; the model may be
-    /// partially updated on error and must be discarded.
-    pub fn restore_state(&mut self, s: &SavedShadow) -> Result<(), String> {
-        if s.banks.len() != self.banks.len() {
-            return Err(format!(
-                "bank count mismatch: saved {}, shadow {}",
-                s.banks.len(),
-                self.banks.len()
-            ));
-        }
-        if s.ranks.len() != self.ranks.len() {
-            return Err(format!(
-                "rank count mismatch: saved {}, shadow {}",
-                s.ranks.len(),
-                self.ranks.len()
-            ));
-        }
-        if s.read_q.len() > self.cfg.read_queue {
-            return Err(format!(
-                "saved read queue ({}) exceeds capacity {}",
-                s.read_q.len(),
-                self.cfg.read_queue
-            ));
-        }
-        if s.write_q.len() > self.cfg.write_queue {
-            return Err(format!(
-                "saved write queue ({}) exceeds capacity {}",
-                s.write_q.len(),
-                self.cfg.write_queue
-            ));
-        }
-        if !self.policy.load_words(&s.policy_words) {
-            return Err(format!(
-                "refresh policy {:?} rejected {} saved schedule words",
-                self.policy.kind(),
-                s.policy_words.len()
-            ));
-        }
-        match (&mut self.integrity, &s.integrity) {
-            (Some(t), Some(saved)) => t
-                .restore_state(saved)
-                .map_err(|e| format!("retention tracker: {e}"))?,
-            (None, None) => {}
-            (have, _) => {
-                return Err(format!(
-                    "integrity tracking mismatch: saved {}, shadow {}",
-                    if s.integrity.is_some() { "on" } else { "off" },
-                    if have.is_some() { "on" } else { "off" },
-                ));
-            }
-        }
-        for (b, saved) in self.banks.iter_mut().zip(&s.banks) {
-            *b = ShadowBank {
-                open_row: saved.open_row,
-                last_act: saved.last_act,
-                ready_act: saved.ready_act,
-                ready_cas: saved.ready_cas,
-                ready_pre: saved.ready_pre,
-                refresh_until: saved.refresh_until,
-                last_cmd: saved.last_cmd,
-                rows_refreshed: saved.rows_refreshed,
-                activations: saved.activations,
-                refresh_busy: saved.refresh_busy,
-            };
-        }
-        for (r, saved) in self.ranks.iter_mut().zip(&s.ranks) {
-            *r = ShadowRank {
-                acts: saved.acts,
-                act_pos: saved.act_pos,
-                read_ready: saved.read_ready,
-                refresh_until: saved.refresh_until,
-            };
-        }
-        let load_entry = |e: &SavedEntry, mapping: &AddressMapping| ShadowEntry {
-            req: MemRequest {
-                id: ReqId(e.id),
-                kind: if e.write {
-                    ReqKind::Write
-                } else {
-                    ReqKind::Read
-                },
-                paddr: e.paddr,
-                loc: mapping.decode(e.paddr),
-                arrival: e.arrival,
-                core: e.core,
-                task: e.task,
-            },
-            refresh_blocked: e.refresh_blocked,
-        };
-        self.read_q = s
-            .read_q
-            .iter()
-            .map(|e| load_entry(e, &self.mapping))
-            .collect();
-        self.write_q = s
-            .write_q
-            .iter()
-            .map(|e| load_entry(e, &self.mapping))
-            .collect();
-        self.draining = s.draining;
-        self.cursor = s.cursor;
-        self.data_bus_free = s.data_bus_free;
-        self.data_bus_owner = s.data_bus_owner;
-        self.pending_refresh = s.pending_refresh.map(|p| ShadowPending {
-            op: p.op,
-            due: p.due,
-            injected_delay: p.injected_delay,
-        });
-        self.epoch_start = s.epoch_start;
-        self.epoch_bus_busy = s.epoch_bus_busy;
-        self.last_utilization = s.last_utilization;
-        self.completions = s.completions.clone();
-        self.stats = s.stats.clone();
-        self.refresh_seq = s.refresh_seq;
-        Ok(())
     }
 }
 
@@ -1299,17 +1179,6 @@ impl MemoryBackend for ShadowController {
     fn save_backend(&self) -> SavedBackend {
         SavedBackend::Shadow(self.save_state())
     }
-
-    fn restore_backend(&mut self, saved: &SavedBackend) -> Result<(), String> {
-        match saved {
-            SavedBackend::Shadow(s) => self.restore_state(s),
-            SavedBackend::Primary(_) => Err(
-                "backend kind mismatch: saved image is from the primary controller, \
-                 this channel runs the shadow model"
-                    .to_owned(),
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1317,6 +1186,7 @@ mod tests {
     use super::*;
     use crate::geometry::Geometry;
     use crate::mapping::MappingScheme;
+    use crate::request::ReqId;
     use crate::timing::{Density, Retention};
 
     fn shadow(policy: RefreshPolicyKind) -> ShadowController {
@@ -1511,35 +1381,6 @@ mod tests {
             format!("{:?}", c.stats())
         };
         assert_eq!(run(100), run(7_919));
-    }
-
-    #[test]
-    fn save_restore_roundtrip_is_bit_identical() {
-        let mut c = shadow(RefreshPolicyKind::PerBankSequential);
-        for i in 0..50u64 {
-            let paddr = (i * 0x9E37_79B9) & ((1 << 30) - 1) & !0x3f;
-            let at = Ps::from_ns(i * 61);
-            c.try_advance_to(at).unwrap();
-            let _ = c.enqueue(read_req(&c, i, paddr, at));
-        }
-        c.try_advance_to(Ps::from_us(20)).unwrap();
-        let saved = c.save_state();
-        let mut fresh = shadow(RefreshPolicyKind::PerBankSequential);
-        fresh.restore_state(&saved).unwrap();
-        c.try_advance_to(Ps::from_us(200)).unwrap();
-        fresh.try_advance_to(Ps::from_us(200)).unwrap();
-        assert_eq!(format!("{:?}", c.stats()), format!("{:?}", fresh.stats()));
-        assert_eq!(c.save_state(), fresh.save_state());
-    }
-
-    #[test]
-    fn restore_rejects_wrong_policy_words() {
-        let c = shadow(RefreshPolicyKind::AllBank);
-        let saved = c.save_state();
-        let mut other = shadow(RefreshPolicyKind::NoRefresh);
-        if !saved.policy_words.is_empty() {
-            assert!(other.restore_state(&saved).is_err());
-        }
     }
 
     #[test]

@@ -4,11 +4,9 @@
 //! then advance without planning twice. That is only sound if probing
 //! is observation-only: a controller probed before every step must
 //! match an unprobed twin bit for bit — same completion stream, same
-//! statistics, same checkpoint image — for every refresh policy under
+//! statistics, same saved state image — for every refresh policy under
 //! randomized request streams. A memo that some mutation fails to
-//! invalidate shows up here as a divergence. The suite also pins the
-//! mid-run checkpoint → restore round trip: a restored controller
-//! resumes in lockstep with the original. (The system-level pins live
+//! invalidate shows up here as a divergence. (The system-level pins live
 //! in `refsim-core`'s engine suite and behaviour digest.)
 
 use proptest::prelude::*;
@@ -93,7 +91,7 @@ fn drive_pair(
     b.advance_to(end);
     assert_eq!(a.drain_completions(), b.drain_completions(), "final drain");
     assert_eq!(a.stats(), b.stats(), "statistics diverged");
-    assert_eq!(a.save_state(), b.save_state(), "checkpoint image diverged");
+    assert_eq!(a.save_state(), b.save_state(), "saved state image diverged");
 }
 
 proptest! {
@@ -101,7 +99,7 @@ proptest! {
 
     /// The headline equivalence: for every refresh policy, a probed
     /// controller reproduces an unprobed one bit for bit under random
-    /// request streams — completions, stats, and the full checkpoint
+    /// request streams — completions, stats, and the full saved state
     /// image.
     #[test]
     fn probing_is_observation_only_for_every_policy(
@@ -112,56 +110,6 @@ proptest! {
             let mut probed = controller(policy);
             let mut plain = controller(policy);
             drive_pair(&mut probed, &mut plain, &stream, Ps::from_ns(350), end);
-        }
-    }
-
-    /// An image saved mid-run restores into a fresh controller, and the
-    /// original and the restored copy stay bit-identical to the end.
-    #[test]
-    fn checkpoint_restore_resumes_in_lockstep(
-        stream in prop::collection::vec((any::<u64>(), any::<bool>()), 20..40),
-    ) {
-        let mid = Ps::from_us(80);
-        let end = Ps::from_us(180);
-        for policy in ALL_POLICIES {
-            // Run the first half, checkpoint, and restore the image into
-            // a fresh controller.
-            let mut origin = controller(policy);
-            let mut t = Ps::ZERO;
-            let mut id = 0u64;
-            while t < mid {
-                origin.advance_to(t);
-                let (raw, write) = stream[id as usize % stream.len()];
-                let r = req(&origin, id, raw, write, t);
-                let _ = origin.enqueue(r);
-                let _ = origin.drain_completions();
-                id += 1;
-                t += Ps::from_ns(350);
-            }
-            origin.advance_to(mid);
-            let _ = origin.drain_completions();
-            let image = origin.save_state();
-
-            let mut resumed = controller(policy);
-            resumed.restore_state(&image).expect("restore");
-
-            // Both halves continue over the same residual stream.
-            while t < end {
-                origin.advance_to(t);
-                resumed.advance_to(t);
-                let (raw, write) = stream[id as usize % stream.len()];
-                let ro = req(&origin, id, raw, write, t);
-                let rr = req(&resumed, id, raw, write, t);
-                assert_eq!(origin.enqueue(ro).is_ok(), resumed.enqueue(rr).is_ok());
-                prop_assert_eq!(origin.drain_completions(), resumed.drain_completions());
-                id += 1;
-                t += Ps::from_ns(350);
-            }
-            origin.advance_to(end);
-            resumed.advance_to(end);
-            prop_assert_eq!(origin.drain_completions(), resumed.drain_completions());
-            prop_assert_eq!(origin.stats(), resumed.stats());
-            prop_assert_eq!(origin.save_state(), resumed.save_state());
         }
     }
 }

@@ -91,12 +91,6 @@ impl BankVector {
     pub fn bits(&self) -> u64 {
         self.0
     }
-
-    /// Rebuilds a set from a bitmask captured with
-    /// [`BankVector::bits`].
-    pub fn from_bits(bits: u64) -> Self {
-        BankVector(bits)
-    }
 }
 
 impl FromIterator<u32> for BankVector {
@@ -352,8 +346,8 @@ impl BankAwareAllocator {
         None
     }
 
-    /// Captures the buddy allocator, per-bank caches, and counters for
-    /// checkpointing. The mapping is configuration.
+    /// Captures the buddy allocator, per-bank caches, and counters as
+    /// plain data. The mapping is configuration.
     pub fn save_state(&self) -> SavedBankAlloc {
         SavedBankAlloc {
             buddy: self.buddy.save_state(),
@@ -361,26 +355,10 @@ impl BankAwareAllocator {
             stats: self.stats,
         }
     }
-
-    /// Reinstates state captured by [`BankAwareAllocator::save_state`]
-    /// into an allocator built over the same mapping.
-    pub fn restore_state(&mut self, saved: &SavedBankAlloc) -> Result<(), String> {
-        if saved.per_bank_free.len() != self.per_bank_free.len() {
-            return Err(format!(
-                "per-bank free-list count mismatch: saved {}, expected {}",
-                saved.per_bank_free.len(),
-                self.per_bank_free.len()
-            ));
-        }
-        self.buddy.restore_state(&saved.buddy)?;
-        self.per_bank_free.clone_from(&saved.per_bank_free);
-        self.stats = saved.stats;
-        Ok(())
-    }
 }
 
-/// Dynamic state of a [`BankAwareAllocator`], captured for
-/// checkpointing.
+/// Dynamic state of a [`BankAwareAllocator`], captured for state
+/// hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedBankAlloc {
     /// Underlying buddy allocator state.

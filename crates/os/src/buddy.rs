@@ -217,7 +217,7 @@ impl BuddyAllocator {
         None
     }
 
-    /// Captures the full allocator state for checkpointing.
+    /// Captures the full allocator state as plain data.
     pub fn save_state(&self) -> SavedBuddy {
         SavedBuddy {
             frames: self.frames,
@@ -230,39 +230,12 @@ impl BuddyAllocator {
             alloc_map: self.alloc_map.clone(),
         }
     }
-
-    /// Reinstates state captured by [`BuddyAllocator::save_state`] into
-    /// an allocator managing the same number of frames.
-    pub fn restore_state(&mut self, saved: &SavedBuddy) -> Result<(), String> {
-        if saved.frames != self.frames {
-            return Err(format!(
-                "buddy frame count mismatch: saved {}, expected {}",
-                saved.frames, self.frames
-            ));
-        }
-        if saved.free_lists.len() != self.free_lists.len() {
-            return Err(format!(
-                "buddy order count mismatch: saved {}, expected {}",
-                saved.free_lists.len(),
-                self.free_lists.len()
-            ));
-        }
-        if saved.alloc_map.len() != self.alloc_map.len() {
-            return Err("buddy allocation map length mismatch".to_owned());
-        }
-        self.free_frames = saved.free_frames;
-        for (dst, src) in self.free_lists.iter_mut().zip(&saved.free_lists) {
-            *dst = src.iter().copied().collect();
-        }
-        self.alloc_map.clone_from(&saved.alloc_map);
-        Ok(())
-    }
 }
 
-/// Dynamic state of a [`BuddyAllocator`], captured for checkpointing.
+/// Dynamic state of a [`BuddyAllocator`], captured for state hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedBuddy {
-    /// Total managed frames (restore sanity check).
+    /// Total managed frames.
     pub frames: u64,
     /// Currently free frames.
     pub free_frames: u64,

@@ -103,31 +103,16 @@ impl CfsRunqueue {
         self.tree.iter().copied()
     }
 
-    /// Captures the queue contents and `min_vruntime` for checkpointing.
+    /// Captures the queue contents and `min_vruntime` as plain data.
     pub fn save_state(&self) -> SavedRunqueue {
         SavedRunqueue {
             entries: self.iter().collect(),
             min_vruntime: self.min_vruntime,
         }
     }
-
-    /// Reinstates state captured by [`CfsRunqueue::save_state`],
-    /// replacing the queue contents and restoring the exact
-    /// `min_vruntime` floor (which `insert` alone cannot reproduce).
-    pub fn restore_state(&mut self, saved: &SavedRunqueue) -> Result<(), String> {
-        let mut tree = BTreeSet::new();
-        for &(v, id) in &saved.entries {
-            if !tree.insert((v, id)) {
-                return Err(format!("{id} duplicated in saved runqueue"));
-            }
-        }
-        self.tree = tree;
-        self.min_vruntime = saved.min_vruntime;
-        Ok(())
-    }
 }
 
-/// Dynamic state of a [`CfsRunqueue`], captured for checkpointing.
+/// Dynamic state of a [`CfsRunqueue`], captured for state hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedRunqueue {
     /// Queued `(vruntime, task)` pairs in tree order.

@@ -261,34 +261,17 @@ impl Scheduler {
         moved
     }
 
-    /// Captures the runqueues and counters for checkpointing. The policy
-    /// and timeslice are configuration.
+    /// Captures the runqueues and counters as plain data. The policy and
+    /// timeslice are configuration.
     pub fn save_state(&self) -> SavedScheduler {
         SavedScheduler {
             queues: self.queues.iter().map(CfsRunqueue::save_state).collect(),
             stats: self.stats,
         }
     }
-
-    /// Reinstates state captured by [`Scheduler::save_state`] into a
-    /// scheduler with the same CPU count.
-    pub fn restore_state(&mut self, saved: &SavedScheduler) -> Result<(), String> {
-        if saved.queues.len() != self.queues.len() {
-            return Err(format!(
-                "runqueue count mismatch: saved {}, expected {}",
-                saved.queues.len(),
-                self.queues.len()
-            ));
-        }
-        for (rq, s) in self.queues.iter_mut().zip(&saved.queues) {
-            rq.restore_state(s)?;
-        }
-        self.stats = saved.stats;
-        Ok(())
-    }
 }
 
-/// Dynamic state of a [`Scheduler`], captured for checkpointing.
+/// Dynamic state of a [`Scheduler`], captured for state hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedScheduler {
     /// Per-CPU runqueues.

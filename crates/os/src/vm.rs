@@ -157,9 +157,10 @@ impl AddressSpace {
     /// kernel bug), or if its VPN or `frame` does not fit in 32 bits.
     pub fn map(&mut self, vaddr: u64, frame: Frame) {
         let vpn = Self::vpn(vaddr);
-        if let Err(e) = check_range(vpn, frame) {
-            panic!("{e}");
-        }
+        assert!(
+            vpn <= MAX_VPN && frame <= MAX_FRAME,
+            "page {vpn:#x} -> frame {frame:#x} is out of the page table's 32-bit range"
+        );
         assert!(
             self.page_table.insert(vpn, frame),
             "page {vpn:#x} double-mapped"
@@ -194,8 +195,8 @@ impl AddressSpace {
         std::mem::size_of_val(self.page_table.slots.as_slice())
     }
 
-    /// Captures the page table (sorted by VPN) and fault counter for
-    /// checkpointing.
+    /// Captures the page table (sorted by VPN) and fault counter as plain
+    /// data.
     pub fn save_state(&self) -> SavedAddressSpace {
         let mut pages: Vec<(u64, Frame)> = self.mappings().collect();
         pages.sort_unstable();
@@ -204,34 +205,9 @@ impl AddressSpace {
             faults: self.faults,
         }
     }
-
-    /// Reinstates state captured by [`AddressSpace::save_state`],
-    /// replacing all mappings without counting them as fresh faults.
-    pub fn restore_state(&mut self, saved: &SavedAddressSpace) -> Result<(), String> {
-        let mut table = PageTable::default();
-        for &(vpn, frame) in &saved.pages {
-            check_range(vpn, frame)?;
-            if !table.insert(vpn, frame) {
-                return Err(format!("page {vpn:#x} duplicated in saved page table"));
-            }
-        }
-        self.page_table = table;
-        self.faults = saved.faults;
-        Ok(())
-    }
 }
 
-/// Rejects a mapping the packed page table cannot hold.
-fn check_range(vpn: u64, frame: Frame) -> Result<(), String> {
-    if vpn > MAX_VPN || frame > MAX_FRAME {
-        return Err(format!(
-            "page {vpn:#x} -> frame {frame:#x} is out of the page table's 32-bit range"
-        ));
-    }
-    Ok(())
-}
-
-/// Dynamic state of an [`AddressSpace`], captured for checkpointing.
+/// Dynamic state of an [`AddressSpace`], captured for state hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedAddressSpace {
     /// `(vpn, frame)` mappings sorted by VPN.
@@ -295,30 +271,6 @@ mod tests {
             mm.mappings().collect::<Vec<_>>(),
             vec![(MAX_VPN, MAX_FRAME)]
         );
-    }
-
-    #[test]
-    fn restore_rejects_a_duplicated_vpn() {
-        let saved = SavedAddressSpace {
-            pages: vec![(3, 30), (3, 31)],
-            faults: 2,
-        };
-        let mut mm = AddressSpace::new();
-        mm.map(0x1000, 10);
-        let err = mm.restore_state(&saved).unwrap_err();
-        assert!(err.contains("duplicated"), "{err}");
-        // A rejected restore leaves the address space as it was.
-        assert_eq!(mm.save_state().pages, vec![(1, 10)]);
-        assert_eq!(mm.faults(), 1);
-    }
-
-    #[test]
-    fn restore_rejects_out_of_range_entries() {
-        for pages in [vec![(MAX_VPN + 1, 0)], vec![(0, MAX_FRAME + 1)]] {
-            let saved = SavedAddressSpace { pages, faults: 1 };
-            let err = AddressSpace::new().restore_state(&saved).unwrap_err();
-            assert!(err.contains("32-bit range"), "{err}");
-        }
     }
 
     #[test]

@@ -25,8 +25,6 @@ enum VmOp {
     Map { vaddr: u64, frame: u64 },
     /// Translate `vaddr`, mapped or not.
     Translate { vaddr: u64 },
-    /// Save and restore into a fresh address space.
-    RoundTrip,
 }
 
 /// Addresses on a few dozen pages, so scripts revisit mapped pages,
@@ -50,7 +48,6 @@ fn arb_vm_ops() -> impl Strategy<Value = Vec<VmOp>> {
                 frame: u64::from(frame),
             }),
             arb_vaddr().prop_map(|vaddr| VmOp::Translate { vaddr }),
-            Just(VmOp::RoundTrip),
         ],
         1..300,
     )
@@ -329,7 +326,7 @@ proptest! {
     }
 
     /// The page table behaves like a `HashMap<vpn, frame>` model through
-    /// maps, translations, growth and checkpoint round trips.
+    /// maps, translations and growth.
     #[test]
     fn page_table_matches_a_hashmap_model(ops in arb_vm_ops()) {
         let mut mm = AddressSpace::new();
@@ -347,13 +344,6 @@ proptest! {
                 VmOp::Translate { vaddr } => {
                     let want = model.get(&(vaddr / 4096)).map(|f| f * 4096 + vaddr % 4096);
                     prop_assert_eq!(mm.translate(vaddr), want, "vaddr {:#x}", vaddr);
-                }
-                VmOp::RoundTrip => {
-                    let saved = mm.save_state();
-                    let mut twin = AddressSpace::new();
-                    prop_assert!(twin.restore_state(&saved).is_ok());
-                    prop_assert_eq!(twin.save_state(), saved);
-                    mm = twin;
                 }
             }
             prop_assert_eq!(mm.resident_pages(), model.len() as u64);

@@ -41,7 +41,7 @@ pub enum PatternKind {
     PointerChase,
 }
 
-/// Dynamic state of a [`PatternState`], captured for checkpointing.
+/// Dynamic state of a [`PatternState`], captured for state hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedPattern {
     /// Per-stream cursors (empty for random/pointer-chase kinds).
@@ -94,35 +94,13 @@ impl PatternState {
         self.kind
     }
 
-    /// Captures the dynamic cursor state for checkpointing. The kind and
-    /// size are configuration and are re-derived on restore.
+    /// Captures the dynamic cursor state as plain data. The kind and size
+    /// are configuration.
     pub fn save_state(&self) -> SavedPattern {
         SavedPattern {
             cursors: self.cursors.clone(),
             next_stream: self.next_stream as u64,
         }
-    }
-
-    /// Reinstates cursor state captured by [`PatternState::save_state`]
-    /// into a freshly built pattern of the same kind and size.
-    pub fn restore_state(&mut self, saved: &SavedPattern) -> Result<(), String> {
-        if saved.cursors.len() != self.cursors.len() {
-            return Err(format!(
-                "pattern cursor count mismatch: saved {}, expected {}",
-                saved.cursors.len(),
-                self.cursors.len()
-            ));
-        }
-        if !self.cursors.is_empty() && saved.next_stream >= self.cursors.len() as u64 {
-            return Err(format!(
-                "pattern stream index {} out of range ({} streams)",
-                saved.next_stream,
-                self.cursors.len()
-            ));
-        }
-        self.cursors.clone_from(&saved.cursors);
-        self.next_stream = saved.next_stream as usize;
-        Ok(())
     }
 
     /// Produces the next region-relative offset and dependence flag.

@@ -290,10 +290,10 @@ pub struct Op {
     pub mem: Option<MemAccess>,
 }
 
-/// Dynamic state of a [`TaskWorkload`], captured for checkpointing.
+/// Dynamic state of a [`TaskWorkload`], captured for state hashing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SavedWorkload {
-    /// Raw RNG state (resumes the exact random stream).
+    /// Raw RNG state (determines the rest of the random stream).
     pub rng_state: u64,
     /// Cold-region pattern cursors.
     pub cold: SavedPattern,
@@ -352,8 +352,8 @@ impl TaskWorkload {
         &self.profile
     }
 
-    /// Captures the dynamic generator state (RNG, cursors) for
-    /// checkpointing. The benchmark and profile are configuration.
+    /// Captures the dynamic generator state (RNG, cursors) as plain data.
+    /// The benchmark and profile are configuration.
     pub fn save_state(&self) -> SavedWorkload {
         SavedWorkload {
             rng_state: self.rng.state_u64(),
@@ -363,20 +363,11 @@ impl TaskWorkload {
         }
     }
 
-    /// Reinstates state captured by [`TaskWorkload::save_state`] into a
-    /// freshly built generator for the same benchmark.
-    pub fn restore_state(&mut self, saved: &SavedWorkload) -> Result<(), String> {
-        if saved.hot_cursor >= self.profile.hot_bytes {
-            return Err(format!(
-                "hot cursor {} out of range (hot region {} bytes)",
-                saved.hot_cursor, self.profile.hot_bytes
-            ));
-        }
-        self.cold.restore_state(&saved.cold)?;
-        self.rng = StdRng::from_state_u64(saved.rng_state);
-        self.hot_cursor = saved.hot_cursor;
-        self.mem_credit = saved.mem_credit;
-        Ok(())
+    /// XORs `mask` into the RNG state word, so the random stream departs
+    /// from the unperturbed one. The replay auditor's negative control
+    /// plants its known divergence with this.
+    pub fn perturb_rng(&mut self, mask: u64) {
+        self.rng = StdRng::from_state_u64(self.rng.state_u64() ^ mask);
     }
 
     /// Generates the next unit of work.
