@@ -6,8 +6,8 @@
 //! crashing (or degrading) it at every I/O operation index, then
 //! scanning the aftermath and restarting on a clean filesystem. Any
 //! contract violation — a panic, a torn file at a final path, a
-//! non-bit-identical restart, a quarantined healthy job — fails the
-//! run and prints a reproducer command line.
+//! non-bit-identical restart — fails the run and prints a reproducer
+//! command line.
 //!
 //! * default — exhaustive enumeration (stride 1) of the `crash`,
 //!   `enospc`, `torn-write`, `interrupt`, and `corrupt-write` modes;

@@ -36,7 +36,7 @@ use std::time::Instant;
 use refsim_core::config::{EngineKind, DEFAULT_STEP};
 use refsim_core::experiment::Job;
 use refsim_core::prelude::*;
-use refsim_core::sweep::{run_many_resilient, SweepOptions, SweepReport};
+use refsim_core::sweep::{run_many_resilient, SweepReport};
 use refsim_dram::refresh::RefreshPolicyKind;
 use refsim_dram::time::Ps;
 use refsim_dram::timing::{FgrMode, Retention};
@@ -230,12 +230,11 @@ fn sweep_jobs(scale: u32) -> Vec<Job> {
 /// report (for result comparison and executor telemetry). Uncached and
 /// unpersisted on purpose — the row times the executor, not the disk.
 fn time_sweep(jobs: &[Job], threads: usize, reps: u32) -> (f64, SweepReport) {
-    let opts = SweepOptions::default();
     let mut samples = Vec::new();
     let mut last = None;
     for _ in 0..reps.max(1) {
         let t0 = Instant::now();
-        let rep = run_many_resilient(jobs, threads, &opts);
+        let rep = run_many_resilient(jobs, threads, None);
         samples.push(t0.elapsed().as_secs_f64());
         last = Some(rep);
     }

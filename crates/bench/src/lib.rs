@@ -277,7 +277,7 @@ mod tests {
   \"bytes_read\": 5120,
   \"bytes_written\": 9216,
   \"saved_nanos\": 1500000000,
-  \"dedup_factor\": 1.9048,
+  \"dedup_factor\": 1.2500,
   \"hit_rate\": 0.3438,
   \"executor\": {
     \"workers\": 2,

@@ -399,6 +399,14 @@ impl SystemConfig {
                 self.total_banks()
             ));
         }
+        if let PartitionPlan::Confine { banks_per_task } = self.partition {
+            let bpr = self.geometry().banks_per_rank;
+            if !(1..=bpr).contains(&banks_per_task) {
+                return bad(format!(
+                    "Confine width {banks_per_task} outside 1..={bpr} banks per rank"
+                ));
+            }
+        }
         if self.measure == Ps::ZERO {
             return bad("measure window must be non-empty".to_owned());
         }
@@ -493,6 +501,24 @@ mod tests {
         // tRFCpb), so the parallel per-rank schedule's tREFW/8 slices
         // set the quantum.
         assert_eq!(c.effective_timeslice(), c.trefw() / 8);
+    }
+
+    #[test]
+    fn validate_rejects_confine_widths_outside_the_rank() {
+        let confine = |banks_per_task| {
+            SystemConfig::table1()
+                .with_partition(PartitionPlan::Confine { banks_per_task })
+                .validate()
+        };
+        for k in [0, 9] {
+            let e = confine(k).unwrap_err();
+            assert!(matches!(e, RefsimError::InvalidConfig(_)), "{e:?}");
+            assert!(e.to_string().contains("Confine width"), "{e}");
+        }
+        // Figure 4's widths.
+        for k in 1..=8 {
+            assert!(confine(k).is_ok(), "width {k}");
+        }
     }
 
     #[test]

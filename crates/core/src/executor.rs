@@ -15,13 +15,9 @@
 //!   items from the back, in submission order; a thief takes the
 //!   victim's latest from the front, nibbling tail work without
 //!   disturbing the owner's order.
-//! * **Requeue onto the own deque.** A callback returning
-//!   [`Verdict::Requeue`] puts its item at the front (the thieves' end)
-//!   of the dispatching worker's deque: an idle worker steals the retry
-//!   at once, otherwise the owner reaches it after its other items.
-//!   Items only ever enter the deque of a running worker, so once every
-//!   deque is empty no item can appear again, and a worker that finds
-//!   nothing to claim exits. Nothing parks or waits.
+//! * **Each item runs once.** Items enter the deques only at the start,
+//!   so once every deque is empty no item can appear again, and a worker
+//!   that finds nothing to claim exits. Nothing parks or waits.
 //! * **Panics propagate.** A panic escaping the callback ends its worker;
 //!   the others drain the remaining items and exit, and [`execute`]
 //!   re-raises the first panic payload. Sweep callbacks catch their own
@@ -31,9 +27,8 @@
 //!
 //! **Determinism argument.** The executor decides only *where and when*
 //! an item runs, never *what it computes*: each item's result lands in
-//! its own pre-assigned output slot, and the simulator is deterministic
-//! per attempt (a retried attempt re-runs from scratch). So results
-//! are bit-identical across any thread count — pinned by the
+//! its own pre-assigned output slot, and the simulator is deterministic.
+//! So results are bit-identical across any thread count — pinned by the
 //! thread-matrix proptests in `crates/core/tests/executor.rs`.
 
 use std::collections::VecDeque;
@@ -63,17 +58,6 @@ fn threads_from(var: Option<&str>) -> usize {
         })
 }
 
-/// What one dispatch of the callback decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Verdict {
-    /// The item is finished (result or terminal error already recorded
-    /// by the callback).
-    Done,
-    /// Run the item again, after the dispatching worker's other items
-    /// unless a thief takes it first.
-    Requeue,
-}
-
 /// Scheduling telemetry for one [`execute`] run (or, merged, for every
 /// sweep a figure pipeline drove). Diagnostic only — excluded from
 /// results and replay hashes.
@@ -87,7 +71,8 @@ pub struct ExecutorStats {
     pub local_pops: u64,
     /// Dispatches stolen from another worker's deque.
     pub steals: u64,
-    /// Items requeued by callback verdict (the sweep's retries).
+    /// Always 0: every item runs exactly once. Kept so the summary and
+    /// JSON outputs that print it stay byte-identical.
     pub requeues: u64,
     /// Completed-dispatch wall-time histogram; bucket upper bounds are
     /// 1, 4, 16, 64, 256, 1024, 4096, 16384 ms, then open-ended.
@@ -146,15 +131,14 @@ struct Shared {
     deques: Vec<Mutex<VecDeque<usize>>>,
     local_pops: AtomicU64,
     steals: AtomicU64,
-    requeues: AtomicU64,
     tail_ms: [AtomicU64; 9],
 }
 
 /// Runs items `0..items` to completion across `threads` work-stealing
-/// workers. `run` is invoked once per dispatch with the item's id — the
-/// determinism anchor: results keyed by id are independent of
-/// scheduling. `run` owns result recording and returns a [`Verdict`].
-/// Returns when every item has reported [`Verdict::Done`].
+/// workers. `run` is invoked exactly once per item with the item's id —
+/// the determinism anchor: results keyed by id are independent of
+/// scheduling. `run` owns result recording. Returns when every item has
+/// run.
 ///
 /// # Panics
 ///
@@ -162,7 +146,7 @@ struct Shared {
 /// `run`, after every worker has exited.
 pub fn execute<F>(items: usize, threads: usize, run: F) -> ExecutorStats
 where
-    F: Fn(usize) -> Verdict + Sync,
+    F: Fn(usize) + Sync,
 {
     let mut stats = ExecutorStats {
         items: items as u64,
@@ -184,7 +168,6 @@ where
         deques: deques.into_iter().map(Mutex::new).collect(),
         local_pops: AtomicU64::new(0),
         steals: AtomicU64::new(0),
-        requeues: AtomicU64::new(0),
         tail_ms: Default::default(),
     };
 
@@ -208,31 +191,23 @@ where
 
     stats.local_pops = shared.local_pops.into_inner();
     stats.steals = shared.steals.into_inner();
-    stats.requeues = shared.requeues.into_inner();
     stats.tail_ms = shared.tail_ms.map(AtomicU64::into_inner);
     stats
 }
 
 fn worker_loop<F>(w: usize, shared: &Shared, run: &F)
 where
-    F: Fn(usize) -> Verdict + Sync,
+    F: Fn(usize) + Sync,
 {
     while let Some(id) = next_item(w, shared) {
         let t0 = Instant::now();
-        match run(id) {
-            Verdict::Done => {
-                let ms = t0.elapsed().as_millis() as u64;
-                let bucket = [1u64, 4, 16, 64, 256, 1024, 4096, 16384]
-                    .iter()
-                    .position(|&ub| ms <= ub)
-                    .unwrap_or(8);
-                shared.tail_ms[bucket].fetch_add(1, Ordering::Relaxed);
-            }
-            Verdict::Requeue => {
-                shared.requeues.fetch_add(1, Ordering::Relaxed);
-                shared.deques[w].lock().expect("poisoned").push_front(id);
-            }
-        }
+        run(id);
+        let ms = t0.elapsed().as_millis() as u64;
+        let bucket = [1u64, 4, 16, 64, 256, 1024, 4096, 16384]
+            .iter()
+            .position(|&ub| ms <= ub)
+            .unwrap_or(8);
+        shared.tail_ms[bucket].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -277,32 +252,9 @@ mod tests {
         // ones); worker 1 drains its own small items and then must steal.
         let stats = execute(10, 2, |id| {
             std::thread::sleep(Duration::from_millis(if id == 0 { 60 } else { 1 }));
-            Verdict::Done
         });
         assert_eq!(stats.tail_ms.iter().sum::<u64>(), 10, "all items complete");
         assert!(stats.steals >= 1, "expected steals, got {stats:?}");
-    }
-
-    #[test]
-    fn requeued_item_is_dispatched_exactly_once_more() {
-        let claims = Mutex::new(Vec::new());
-        let stats = execute(5, 1, |id| {
-            let mut claims = claims.lock().expect("poisoned");
-            let first = !claims.contains(&id);
-            claims.push(id);
-            if id == 0 && first {
-                Verdict::Requeue
-            } else {
-                Verdict::Done
-            }
-        });
-        // Item 0 runs exactly once more, behind the worker's other items.
-        assert_eq!(
-            claims.into_inner().expect("poisoned"),
-            vec![0, 1, 2, 3, 4, 0]
-        );
-        assert_eq!(stats.requeues, 1);
-        assert_eq!(stats.tail_ms.iter().sum::<u64>(), 5, "every item completes");
     }
 
     #[test]
@@ -317,7 +269,6 @@ mod tests {
                         if id == 3 {
                             panic!("boom on item 3");
                         }
-                        Verdict::Done
                     })
                 });
                 let _ = tx.send(outcome.map_err(|p| p.downcast_ref::<&str>().copied()));

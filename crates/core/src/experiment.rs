@@ -32,7 +32,7 @@ use crate::faults::FaultPlan;
 use crate::metrics::{gmean_finite, RunMetrics};
 use crate::report::Table;
 use crate::runcache::{job_fingerprint, CacheStats, RunCache};
-use crate::sweep::{run_many_resilient, SweepOptions};
+use crate::sweep::run_many_resilient;
 
 /// A refresh-mitigation scheme as compared in the figures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -231,21 +231,12 @@ pub fn run_many(jobs: &[Job], threads: usize) -> Vec<RunMetrics> {
 /// completes, and builders turn the error into an error row.
 ///
 /// This is a thin front over [`crate::sweep::run_many_resilient`] with
-/// default options: panicked jobs get one blind retry from scratch,
-/// deterministic failures fail fast, and nothing touches disk. Sweeps
+/// no run cache: each unique job runs once, a failure (a panic
+/// included) is that job's error row, and nothing touches disk. Sweeps
 /// that must survive being killed pass a run cache
 /// ([`ExpOptions::cache`]) and rerun over it.
 pub fn run_many_checked(jobs: &[Job], threads: usize) -> Vec<Result<RunMetrics, RefsimError>> {
-    run_many_resilient(jobs, threads, &SweepOptions::default()).results
-}
-
-/// Sweep options an [`ExpOptions`] implies: default resilience plus its
-/// persistent cache.
-fn sweep_options(opts: &ExpOptions) -> SweepOptions {
-    SweepOptions {
-        cache: opts.cache.clone(),
-        ..SweepOptions::default()
-    }
+    run_many_resilient(jobs, threads, None).results
 }
 
 /// The execution front every builder routes through: runs `jobs` under
@@ -255,7 +246,7 @@ pub fn run_jobs(opts: &ExpOptions, jobs: &[Job]) -> Vec<Result<RunMetrics, Refsi
     if let Some(pool) = &opts.pool {
         return pool.run(opts, jobs);
     }
-    let report = run_many_resilient(jobs, opts.threads, &sweep_options(opts));
+    let report = run_many_resilient(jobs, opts.threads, opts.cache.as_ref());
     opts.telemetry.add(&report.stats);
     opts.telemetry.add_exec(&report.executor);
     report.results
@@ -377,7 +368,7 @@ impl RunPool {
                     // job list is not a pure function of its options).
                     // Run it inline rather than failing the figure.
                     let report =
-                        run_many_resilient(std::slice::from_ref(job), 1, &sweep_options(opts));
+                        run_many_resilient(std::slice::from_ref(job), 1, opts.cache.as_ref());
                     opts.telemetry.add(&report.stats);
                     opts.telemetry.add_exec(&report.executor);
                     let r = report.results.into_iter().next().expect("one job in");
@@ -403,7 +394,7 @@ impl RunPool {
             inner.collecting = false;
             (std::mem::take(&mut inner.jobs), inner.requested)
         };
-        let report = run_many_resilient(&jobs, opts.threads, &sweep_options(opts));
+        let report = run_many_resilient(&jobs, opts.threads, opts.cache.as_ref());
         let mut stats = report.stats;
         stats.requested = requested;
         stats.deduped = requested.saturating_sub(jobs.len() as u64);

@@ -495,7 +495,7 @@ pub struct CacheStats {
     pub requested: u64,
     /// Cells whose work was shared with an identical in-flight cell.
     pub deduped: u64,
-    /// Simulation attempts actually executed.
+    /// Simulations actually executed.
     pub executed: u64,
     /// Cells served from a persistent cache entry.
     pub hits: u64,
@@ -549,17 +549,15 @@ impl CacheStats {
         self.saved_nanos += other.saved_nanos;
     }
 
-    /// Requested cells per executed simulation — how much work the
-    /// dedup + cache layers elided. 1.0 means nothing was shared.
+    /// Requested cells per unique cell (leader, `requested - deduped`)
+    /// — how much work in-flight dedup shared. 1.0 means nothing was
+    /// shared. Cache hits do not count: a warm sweep reports the same
+    /// factor as its cold run.
     pub fn dedup_factor(&self) -> f64 {
-        if self.executed == 0 {
-            return if self.requested == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            };
+        match self.requested.saturating_sub(self.deduped) {
+            0 => 1.0,
+            leaders => self.requested as f64 / leaders as f64,
         }
-        self.requested as f64 / self.executed as f64
     }
 
     /// Hits over cache probes (hits + misses), in `[0, 1]`; 0 when the
@@ -809,10 +807,11 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.requested, 20);
         assert_eq!(a.executed, 10);
-        assert!((a.dedup_factor() - 2.0).abs() < 1e-12);
+        // 20 requested over 16 leaders; the 9 hits are not dedup.
+        assert!((a.dedup_factor() - 1.25).abs() < 1e-12);
         assert!((a.hit_rate() - 9.0 / 13.0).abs() < 1e-12);
         let json = a.json_members();
         assert!(json.contains("\"hits\": 9"), "{json}");
-        assert!(a.summary().contains("dedup 2.00x"), "{}", a.summary());
+        assert!(a.summary().contains("dedup 1.25x"), "{}", a.summary());
     }
 }

@@ -1,25 +1,24 @@
-//! Resilient sweep runner: bounded retry, quarantine, in-flight dedup
-//! and the persistent run cache for multi-job experiment sweeps.
+//! Sweep runner: in-flight dedup and the persistent run cache for
+//! multi-job experiment sweeps.
 //!
 //! [`run_many_resilient`] drives a batch of [`Job`]s across the
 //! work-stealing executor ([`crate::executor`]) and returns one `Result`
-//! per job, in job order. A job that panics is retried from scratch up
-//! to [`SweepOptions::max_retries`] times; a job that keeps panicking
-//! is *quarantined* so the rest of the sweep completes. Deterministic
-//! failures (invalid config, empty workload, OOM, DRAM faults, watchdog
-//! trips) are never retried: re-running a deterministic simulator
-//! reproduces them bit for bit.
+//! per job, in job order. Each unique cell executes at most once. A
+//! failure — invalid config, empty workload, OOM, DRAM fault, watchdog
+//! trip, invariant violation, even a panic — becomes that cell's typed
+//! error row, and the rest of the sweep completes. Nothing is retried:
+//! re-running a deterministic simulator reproduces every failure, a
+//! panic included, bit for bit.
 //!
-//! The sweep does no I/O of its own. The run cache
-//! ([`SweepOptions::cache`]) is the only thing it persists: rerunning an
-//! interrupted sweep over the same cache serves every finished cell as
-//! a hit and executes the rest — the "kill the sweep, rerun the
-//! command" recovery story.
+//! The sweep does no I/O of its own. The run cache is the only thing it
+//! persists: rerunning an interrupted sweep over the same cache serves
+//! every finished cell as a hit and executes the rest — the "kill the
+//! sweep, rerun the command" recovery story.
 //!
-//! Determinism note: every attempt is steered through exactly the span
+//! Determinism note: every run is steered through exactly the span
 //! boundaries [`System::try_run`] uses ([`span_boundaries`] with no
-//! extra pitch), so no sweep option changes a result. The cache relies
-//! on that: its fingerprint covers the config and mix, not the options.
+//! extra pitch), so the cache never changes a result. The cache relies
+//! on that: its fingerprint covers the config and mix, nothing else.
 //!
 //! # Deduplication and the run cache
 //!
@@ -30,23 +29,22 @@
 //! canonical fingerprint ([`crate::runcache::job_fingerprint`]) covering
 //! *every* semantic knob, so equal fingerprints mean deterministic
 //! duplicates by the replay-proof contract. Dedup is therefore always
-//! on. The *persistent* cache ([`SweepOptions::cache`]) additionally
-//! serves leaders from prior processes' results — except for cells
-//! [`crate::runcache::bypass_reason`] names, which always execute.
-//! With [`SweepOptions::verify_sampled`] set (the default), the first
-//! cache hit of each sweep is re-executed and compared bit-for-bit
+//! on. The *persistent* cache additionally serves leaders from prior
+//! processes' results — except for cells
+//! [`crate::runcache::bypass_reason`] names, which always execute. The
+//! first cache hit of each sweep is re-executed and compared bit-for-bit
 //! (metrics *and* final replay hash) against the stored entry, turning
 //! every warm sweep into a standing audit of the cache's soundness.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use refsim_dram::time::Ps;
 
 use crate::error::RefsimError;
-use crate::executor::{self, default_threads, ExecutorStats, Verdict};
+use crate::executor::{self, default_threads, ExecutorStats};
 use crate::experiment::Job;
 use crate::metrics::RunMetrics;
 use crate::replay::{span_boundaries, StateHashes};
@@ -55,69 +53,16 @@ use crate::runcache::{
 };
 use crate::system::System;
 
-/// Options for a resilient sweep. None of them changes a result.
-#[derive(Debug, Clone)]
-pub struct SweepOptions {
-    /// Additional attempts after the first failure of a retryable job.
-    pub max_retries: u32,
-    /// Test-only fault injection: panic a chosen job mid-run. Injection
-    /// targets a job *index*; a duplicate cell deduped onto another
-    /// leader never runs and so never fires its injection.
-    pub inject: Option<PanicInjection>,
-    /// Persistent content-addressed run cache. `None` (the default)
-    /// disables persistence; in-process dedup is active regardless.
-    pub cache: Option<RunCache>,
-    /// Re-execute the first cache hit of the sweep and require the
-    /// fresh run to reproduce the entry's metrics and replay hash
-    /// bit-for-bit. On by default; a mismatch is counted in
-    /// [`CacheStats::verify_failures`] and the fresh result wins.
-    pub verify_sampled: bool,
-}
-
-impl Default for SweepOptions {
-    fn default() -> Self {
-        SweepOptions {
-            max_retries: 1,
-            inject: None,
-            cache: None,
-            verify_sampled: true,
-        }
-    }
-}
-
-/// Deterministic fault injection for testing the retry path: the
-/// chosen job panics after completing `after_spans` span boundaries, on
-/// each of its first `attempts` attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PanicInjection {
-    /// Index of the job to kill.
-    pub job: usize,
-    /// Number of attempts that die before one is allowed to finish.
-    pub attempts: u32,
-    /// Span boundaries the doomed attempt completes before panicking.
-    pub after_spans: u64,
-}
-
-/// Outcome of a resilient sweep.
+/// Outcome of a sweep.
 #[derive(Debug)]
 pub struct SweepReport {
     /// Per-job results, in job order.
     pub results: Vec<Result<RunMetrics, RefsimError>>,
-    /// Total retry attempts across all jobs.
-    pub retries: u64,
-    /// Jobs whose retryable failures exhausted the retry budget.
-    pub quarantined: Vec<usize>,
     /// Dedup and run-cache telemetry for this sweep.
     pub stats: CacheStats,
     /// Scheduling telemetry from the work-stealing executor (steals,
-    /// requeues, tail-cell histogram).
+    /// tail-cell histogram).
     pub executor: ExecutorStats,
-}
-
-/// Whether a failed attempt is worth retrying. Only a panic qualifies:
-/// every other failure reproduces identically.
-fn is_retryable(e: &RefsimError) -> bool {
-    matches!(e, RefsimError::Panicked(_))
 }
 
 /// Best-effort recovery of a panic payload's message.
@@ -131,52 +76,46 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-// ---- per-attempt driver --------------------------------------------------
+/// Runs `f`, turning a panic into a typed [`RefsimError::Panicked`]
+/// carrying the payload's message.
+fn catch_panic<T>(f: impl FnOnce() -> Result<T, RefsimError>) -> Result<T, RefsimError> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+        .unwrap_or_else(|payload| Err(RefsimError::Panicked(panic_message(payload.as_ref()))))
+}
 
-/// Everything one finished attempt yields.
-struct AttemptOutcome {
+// ---- per-cell driver -----------------------------------------------------
+
+/// Everything one finished run yields.
+struct RunOutcome {
     metrics: RunMetrics,
     /// Final replay state hash, computed only when `want_hash` (i.e.
     /// the result is destined for a cache entry or a verification).
     hash: Option<u64>,
-    /// Wall-clock nanoseconds this attempt took.
+    /// Wall-clock nanoseconds the run took.
     wall_nanos: u64,
 }
 
-/// Runs one attempt of `job` from scratch through the span boundaries
-/// of [`System::try_run`], firing `opts.inject` when it targets this
-/// attempt.
-fn run_attempt(
-    job: &Job,
-    job_idx: usize,
-    attempt: u32,
-    opts: &SweepOptions,
-    want_hash: bool,
-) -> Result<AttemptOutcome, RefsimError> {
+/// Runs `job` from scratch through the span boundaries of
+/// [`System::try_run`].
+fn run_job(job: &Job, want_hash: bool) -> Result<RunOutcome, RefsimError> {
     let t0 = Instant::now();
     let cfg = &job.cfg;
     let mut sys = System::try_new(cfg.clone(), &job.mix)?;
     if cfg.warmup == Ps::ZERO {
         sys.begin_measure();
     }
-    for (s_idx, b) in span_boundaries(cfg, None).into_iter().enumerate() {
+    for b in span_boundaries(cfg, None) {
         sys.try_run_until(b)?;
         if b == cfg.warmup {
             sys.begin_measure();
         }
-        if let Some(inj) = &opts.inject {
-            if inj.job == job_idx && attempt < inj.attempts && s_idx as u64 == inj.after_spans {
-                panic!("injected sweep fault (job {job_idx}, attempt {attempt})");
-            }
-        }
     }
     sys.audit_retention();
     // Invariant violations become a typed per-job error row rather than
-    // a crashed sweep; they are deterministic, so `is_retryable` keeps
-    // them out of the retry loop.
+    // a crashed sweep.
     sys.finish_audit()?;
     let hash = want_hash.then(|| StateHashes::of(&sys.export_state()).combined());
-    Ok(AttemptOutcome {
+    Ok(RunOutcome {
         metrics: sys.collect(),
         hash,
         wall_nanos: t0.elapsed().as_nanos() as u64,
@@ -186,10 +125,11 @@ fn run_attempt(
 // ---- the runner ----------------------------------------------------------
 
 /// Error-tolerant sweep: runs every job to a `Result` in job order,
-/// retrying panicked attempts from scratch and quarantining jobs that
-/// keep panicking. Per-job failures are *data* — they land in
-/// [`SweepReport::results`], never abort the sweep.
-pub fn run_many_resilient(jobs: &[Job], threads: usize, opts: &SweepOptions) -> SweepReport {
+/// serving leaders from `cache` when it holds them. Per-job failures
+/// (a panic included) are *data* — they land in
+/// [`SweepReport::results`], never abort the sweep. `cache` is `None`
+/// to persist nothing; in-flight dedup is active regardless.
+pub fn run_many_resilient(jobs: &[Job], threads: usize, cache: Option<&RunCache>) -> SweepReport {
     let n = jobs.len();
     let fingerprints: Vec<u64> = jobs
         .iter()
@@ -217,8 +157,6 @@ pub fn run_many_resilient(jobs: &[Job], threads: usize, opts: &SweepOptions) -> 
 
     let results: Mutex<Vec<Option<Result<RunMetrics, RefsimError>>>> =
         Mutex::new((0..n).map(|_| None).collect());
-    let retries = AtomicU64::new(0);
-    let quarantined = Mutex::new(Vec::new());
     let stats_mx = Mutex::new(&mut stats);
     // One sampled verification per sweep: the first hit claims it.
     let verify_claimed = AtomicBool::new(false);
@@ -228,166 +166,91 @@ pub fn run_many_resilient(jobs: &[Job], threads: usize, opts: &SweepOptions) -> 
         threads
     };
 
-    // Per-leader state that must survive executor requeues: the sweep —
-    // not the executor — owns the retry budget (so `PanicInjection`
-    // attempt counting is unchanged), and the cache decision is made
-    // exactly once per leader no matter how many dispatches it takes.
-    let attempts: Vec<AtomicU32> = leaders.iter().map(|_| AtomicU32::new(0)).collect();
-    let prepared: Vec<OnceLock<Prepared>> = leaders.iter().map(|_| OnceLock::new()).collect();
-
     let bump = |f: &dyn Fn(&mut CacheStats)| {
         f(&mut stats_mx.lock().expect("poisoned"));
     };
 
-    // The cache decision for one leader: serve a hit outright, or
-    // execute (optionally verifying against the held entry). The
-    // persistent cache applies only to cacheable cells; audited /
-    // fault-injected / debug-knob runs must execute for real.
-    let prepare = |i: usize, fp: u64| -> Prepared {
-        let cache = match &opts.cache {
-            Some(c) => match bypass_reason(&jobs[i].cfg) {
-                None => Some(c),
-                Some(_) => {
-                    bump(&|st| st.bypassed += 1);
-                    None
-                }
-            },
-            None => None,
-        };
-        let Some(cache) = cache else {
-            bump(&|st| st.executed += 1);
-            return Prepared::Execute {
-                verify: None,
-                verify_sz: 0,
-                use_cache: false,
-            };
-        };
-        let lookup = cache.lookup(fp);
-        match &lookup {
-            CacheLookup::Hit(_, _) => {}
-            CacheLookup::Absent => bump(&|st| {
-                st.misses += 1;
-                st.misses_absent += 1;
-            }),
-            CacheLookup::Corrupt => bump(&|st| {
-                st.misses += 1;
-                st.misses_corrupt += 1;
-            }),
-            CacheLookup::Io(_) => bump(&|st| {
-                st.misses += 1;
-                st.misses_io += 1;
-            }),
-        }
-        if let CacheLookup::Hit(entry, sz) = lookup {
-            if opts.verify_sampled && !verify_claimed.swap(true, Ordering::Relaxed) {
-                // Sampled audit: re-run the cell and hold the entry to
-                // bit-identity on metrics and the final replay hash.
-                bump(&|st| st.executed += 1);
-                Prepared::Execute {
-                    verify: Some(entry),
-                    verify_sz: sz,
-                    use_cache: true,
-                }
-            } else {
-                bump(&|st| {
-                    st.hits += 1;
-                    st.bytes_read += sz;
-                    st.saved_nanos += entry.wall_nanos;
-                });
-                Prepared::Serve(Box::new(entry.metrics))
+    // One leader's outcome: a cache hit served outright, or a run
+    // (verified against the held entry when it claimed the sampled
+    // audit). The persistent cache applies only to cacheable cells;
+    // audited / fault-injected / debug-knob runs must execute for real.
+    let run_leader = |i: usize, fp: u64| -> Result<RunMetrics, RefsimError> {
+        let cache = match cache {
+            Some(_) if bypass_reason(&jobs[i].cfg).is_some() => {
+                bump(&|st| st.bypassed += 1);
+                None
             }
-        } else {
-            bump(&|st| st.executed += 1);
-            Prepared::Execute {
-                verify: None,
-                verify_sz: 0,
-                use_cache: true,
+            c => c,
+        };
+        let mut verify = None;
+        if let Some(c) = cache {
+            match c.lookup(fp) {
+                CacheLookup::Hit(entry, sz) => {
+                    if verify_claimed.swap(true, Ordering::Relaxed) {
+                        bump(&|st| {
+                            st.hits += 1;
+                            st.bytes_read += sz;
+                            st.saved_nanos += entry.wall_nanos;
+                        });
+                        return Ok(entry.metrics);
+                    }
+                    // Sampled audit: re-run the cell and hold the entry
+                    // to bit-identity on metrics and the final replay
+                    // hash.
+                    verify = Some((entry, sz));
+                }
+                CacheLookup::Absent => bump(&|st| {
+                    st.misses += 1;
+                    st.misses_absent += 1;
+                }),
+                CacheLookup::Corrupt => bump(&|st| {
+                    st.misses += 1;
+                    st.misses_corrupt += 1;
+                }),
+                CacheLookup::Io(_) => bump(&|st| {
+                    st.misses += 1;
+                    st.misses_io += 1;
+                }),
             }
         }
+        bump(&|st| st.executed += 1);
+        let out = catch_panic(|| run_job(&jobs[i], cache.is_some()))?;
+        let store = match verify {
+            Some((entry, sz)) => {
+                let clean = out.metrics == entry.metrics && out.hash == Some(entry.replay_hash);
+                if clean {
+                    bump(&|st| {
+                        st.hits += 1;
+                        st.verified += 1;
+                        st.bytes_read += sz;
+                    });
+                } else {
+                    // The fresh run wins; the stale entry is overwritten.
+                    bump(&|st| st.verify_failures += 1);
+                }
+                !clean
+            }
+            None => true,
+        };
+        if let (true, Some(c)) = (store, cache) {
+            store_entry(c, fp, &out, &stats_mx);
+        }
+        Ok(out.metrics)
     };
 
-    // Fans one leader's terminal outcome out to every cell of its group
-    // (the leader included), cloning errors per cell.
-    let finish = |fp: u64, outcome: Result<RunMetrics, RefsimError>, cell_quarantined: bool| {
-        let group = &groups[&fp];
-        if cell_quarantined {
-            quarantined.lock().expect("poisoned").extend(group.iter());
-        }
-        let mut res = results.lock().expect("poisoned");
-        for &j in group {
-            res[j] = Some(outcome.clone());
-        }
-    };
-
-    // One executor dispatch of one leader: a single attempt, with the
-    // verdict routing retries (requeue) and terminal outcomes (fan-out).
-    let exec_run = |p: usize| -> Verdict {
+    // One executor dispatch: run a leader and fan its outcome out to
+    // every cell of its group (the leader included), cloning errors per
+    // cell.
+    let exec_stats = executor::execute(leaders.len(), workers, |p| {
         let i = leaders[p];
         let fp = fingerprints[i];
-        let prep = prepared[p].get_or_init(|| prepare(i, fp));
-        let (verify, verify_sz, use_cache) = match prep {
-            Prepared::Serve(m) => {
-                finish(fp, Ok((**m).clone()), false);
-                return Verdict::Done;
-            }
-            Prepared::Execute {
-                verify,
-                verify_sz,
-                use_cache,
-            } => (verify, *verify_sz, *use_cache),
-        };
-        let attempt = attempts[p].load(Ordering::Relaxed);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_attempt(&jobs[i], i, attempt, opts, use_cache)
-        }))
-        .unwrap_or_else(|payload| Err(RefsimError::Panicked(panic_message(payload.as_ref()))));
-        match r {
-            Ok(out) => {
-                let store = match verify {
-                    Some(entry) => {
-                        let clean =
-                            out.metrics == entry.metrics && out.hash == Some(entry.replay_hash);
-                        if clean {
-                            bump(&|st| {
-                                st.hits += 1;
-                                st.verified += 1;
-                                st.bytes_read += verify_sz;
-                            });
-                        } else {
-                            // The fresh run wins; the stale entry is
-                            // overwritten.
-                            bump(&|st| st.verify_failures += 1);
-                        }
-                        !clean
-                    }
-                    None => use_cache,
-                };
-                if store {
-                    if let Some(cache) = &opts.cache {
-                        store_entry(cache, fp, &out, &stats_mx);
-                    }
-                }
-                finish(fp, Ok(out.metrics), false);
-                Verdict::Done
-            }
-            Err(e) => {
-                let retryable = is_retryable(&e);
-                if retryable && attempt < opts.max_retries {
-                    retries.fetch_add(1, Ordering::Relaxed);
-                    attempts[p].fetch_add(1, Ordering::Relaxed);
-                    Verdict::Requeue
-                } else {
-                    finish(fp, Err(e), retryable);
-                    Verdict::Done
-                }
-            }
+        let outcome = run_leader(i, fp);
+        let mut res = results.lock().expect("poisoned");
+        for &j in &groups[&fp] {
+            res[j] = Some(outcome.clone());
         }
-    };
+    });
 
-    let exec_stats = executor::execute(leaders.len(), workers, exec_run);
-
-    let mut quarantined = quarantined.into_inner().expect("poisoned");
-    quarantined.sort_unstable();
     let results = results
         .into_inner()
         .expect("poisoned")
@@ -396,28 +259,9 @@ pub fn run_many_resilient(jobs: &[Job], threads: usize, opts: &SweepOptions) -> 
         .collect();
     SweepReport {
         results,
-        retries: retries.into_inner(),
-        quarantined,
         stats,
         executor: exec_stats,
     }
-}
-
-/// The once-per-leader cache decision, cached across executor requeues
-/// so a retried dispatch never re-probes (or re-counts) the cache.
-#[derive(Debug)]
-enum Prepared {
-    /// Serve the cached metrics without executing.
-    Serve(Box<RunMetrics>),
-    /// Execute the cell.
-    Execute {
-        /// Sampled-audit entry the fresh run must reproduce bit-for-bit.
-        verify: Option<Box<CacheEntry>>,
-        /// On-disk size of the verify entry (for `bytes_read`).
-        verify_sz: u64,
-        /// Hash the result and store it back into the persistent cache.
-        use_cache: bool,
-    },
 }
 
 /// Persists a freshly executed result as a cache entry, folding byte
@@ -426,7 +270,7 @@ enum Prepared {
 fn store_entry(
     cache: &RunCache,
     fingerprint: u64,
-    out: &AttemptOutcome,
+    out: &RunOutcome,
     stats_mx: &Mutex<&mut CacheStats>,
 ) {
     let Some(hash) = out.hash else { return };
@@ -451,6 +295,7 @@ mod tests {
     use super::*;
     use crate::config::SystemConfig;
     use crate::experiment::run_many_checked;
+    use refsim_os::partition::PartitionPlan;
     use refsim_workloads::mix::WorkloadMix;
     use refsim_workloads::profiles::Benchmark;
     use std::fs;
@@ -467,6 +312,14 @@ mod tests {
                 &[(Benchmark::Stream, 2), (Benchmark::Povray, 2)],
                 "M + L",
             ),
+        }
+    }
+
+    /// A job whose run deterministically fails (`EmptyWorkload`).
+    fn broken_job(seed: u64) -> Job {
+        Job {
+            mix: WorkloadMix::from_groups("empty", &[], "-"),
+            ..tiny_job(seed)
         }
     }
 
@@ -488,123 +341,89 @@ mod tests {
     }
 
     #[test]
-    fn default_options_match_the_plain_checked_sweep() {
+    fn sweep_rows_match_standalone_runs() {
         let jobs = [tiny_job(1), tiny_job(2)];
-        let plain = run_many_checked(&jobs, 2);
-        let resilient = run_many_resilient(&jobs, 2, &SweepOptions::default());
-        assert_eq!(resilient.retries, 0);
-        assert_rows_match(&plain, &resilient.results, "default options");
+        let standalone: Vec<_> = jobs
+            .iter()
+            .map(|j| System::try_new(j.cfg.clone(), &j.mix).and_then(|mut s| s.try_run()))
+            .collect();
+        assert_rows_match(&standalone, &run_many_checked(&jobs, 2), "sweep");
     }
 
     #[test]
-    fn injected_panic_retries_from_scratch_bit_identical() {
-        let jobs = [tiny_job(3), tiny_job(4)];
-        let clean = run_many_checked(&jobs, 1);
-        // Job 0 dies once after its warm-up span and is re-run from the
-        // start.
-        let faulted = run_many_resilient(
-            &jobs,
-            1,
-            &SweepOptions {
-                max_retries: 1,
-                inject: Some(PanicInjection {
-                    job: 0,
-                    attempts: 1,
-                    after_spans: 0,
-                }),
-                ..SweepOptions::default()
-            },
-        );
-        assert_eq!(
-            faulted.retries, 1,
-            "the injected panic must trigger a retry"
-        );
-        assert!(faulted.quarantined.is_empty());
-        assert_rows_match(&clean, &faulted.results, "retried sweep");
-    }
-
-    #[test]
-    fn repeated_failures_are_quarantined_and_the_sweep_completes() {
-        let jobs = [tiny_job(5), tiny_job(6)];
-        let report = run_many_resilient(
-            &jobs,
-            2,
-            &SweepOptions {
-                max_retries: 1,
-                inject: Some(PanicInjection {
-                    job: 0,
-                    attempts: 5, // outlives the retry budget
-                    after_spans: 1,
-                }),
-                ..SweepOptions::default()
-            },
-        );
-        assert_eq!(report.quarantined, vec![0]);
+    fn a_panic_becomes_a_typed_error_row() {
+        let r: Result<(), _> = catch_panic(|| panic!("boom"));
         assert!(
-            matches!(
-                report.results[0],
-                Err(RefsimError::Panicked(ref m)) if m.contains("injected")
-            ),
-            "unexpected job-0 result: {:?}",
-            report.results[0]
+            matches!(r, Err(RefsimError::Panicked(ref m)) if m == "boom"),
+            "{r:?}"
         );
-        assert!(report.results[1].is_ok(), "healthy jobs must still finish");
+        let cell = 7;
+        let r: Result<(), _> = catch_panic(|| panic!("cell {cell} fell over"));
+        assert!(
+            matches!(r, Err(RefsimError::Panicked(ref m)) if m == "cell 7 fell over"),
+            "{r:?}"
+        );
+        // Results that did not unwind pass through untouched.
+        assert!(matches!(catch_panic(|| Ok(3)), Ok(3)));
+        assert!(matches!(
+            catch_panic::<()>(|| Err(RefsimError::EmptyWorkload)),
+            Err(RefsimError::EmptyWorkload)
+        ));
     }
 
     #[test]
     fn deterministic_errors_fail_fast_without_retry() {
         let mut bad = tiny_job(7);
         bad.cfg.measure = Ps::ZERO; // rejected by SystemConfig::validate
-        let report = run_many_resilient(&[bad], 1, &SweepOptions::default());
-        assert_eq!(report.retries, 0);
+        let report = run_many_resilient(&[bad], 1, None);
         assert!(matches!(
             report.results[0],
             Err(RefsimError::InvalidConfig(_))
         ));
-        assert!(report.quarantined.is_empty());
+        assert_eq!(
+            report.executor.tail_ms.iter().sum::<u64>(),
+            1,
+            "the failed cell is dispatched exactly once"
+        );
+    }
+
+    #[test]
+    fn confine_width_outside_the_rank_is_an_invalid_config_row() {
+        for banks_per_task in [0, 9] {
+            let mut job = tiny_job(13);
+            job.cfg = job
+                .cfg
+                .with_partition(PartitionPlan::Confine { banks_per_task });
+            let rows = run_many_checked(&[job, tiny_job(14)], 2);
+            assert!(
+                matches!(rows[0], Err(RefsimError::InvalidConfig(_))),
+                "width {banks_per_task}: {:?}",
+                rows[0]
+            );
+            assert!(rows[1].is_ok(), "width {banks_per_task}: healthy cell");
+        }
     }
 
     #[test]
     fn second_invocation_serves_finished_cells_from_the_cache() {
-        let jobs = [tiny_job(8), tiny_job(9), tiny_job(10)];
+        let jobs = [tiny_job(8), broken_job(9), tiny_job(10)];
         let dir = tmp_dir("rerun");
         let cache = RunCache::new(&dir);
 
-        // First invocation: job 1 keeps dying and is quarantined; the
-        // other two finish and land in the cache.
-        let first = run_many_resilient(
-            &jobs,
-            1,
-            &SweepOptions {
-                max_retries: 0,
-                inject: Some(PanicInjection {
-                    job: 1,
-                    attempts: 9,
-                    after_spans: 0,
-                }),
-                cache: Some(cache.clone()),
-                ..SweepOptions::default()
-            },
-        );
-        assert_eq!(first.quarantined, vec![1]);
+        // First invocation: job 1 fails; the other two finish and land
+        // in the cache.
+        let first = run_many_resilient(&jobs, 1, Some(&cache));
+        assert!(matches!(first.results[1], Err(RefsimError::EmptyWorkload)));
         assert!(first.results[0].is_ok() && first.results[2].is_ok());
         assert_eq!(first.stats.stores, 2);
 
-        // Second invocation over the same cache, no faults: every other
-        // cell is a hit, only the failed one runs.
-        let second = run_many_resilient(
-            &jobs,
-            1,
-            &SweepOptions {
-                cache: Some(cache),
-                ..SweepOptions::default()
-            },
-        );
+        // Second invocation over the same cache: every finished cell is
+        // a hit, only the failed one runs (and fails the same way).
+        let second = run_many_resilient(&jobs, 1, Some(&cache));
         assert_eq!(second.stats.hits, 2, "{:?}", second.stats);
         assert_eq!(second.stats.misses_absent, 1, "{:?}", second.stats);
-        assert_eq!(second.stats.stores, 1, "{:?}", second.stats);
-        assert!(second.quarantined.is_empty());
-        assert_rows_match(&run_many_checked(&jobs, 1), &second.results, "rerun");
+        assert_eq!(second.stats.stores, 0, "{:?}", second.stats);
+        assert_rows_match(&first.results, &second.results, "rerun");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -613,31 +432,17 @@ mod tests {
         // A duplicate cell keeps dedup fan-out on the path.
         let jobs = [tiny_job(11), tiny_job(12), tiny_job(11)];
         let reference = run_many_checked(&jobs, 2);
-        let panic_once = PanicInjection {
-            job: 1,
-            attempts: 1,
-            after_spans: 1,
-        };
-        for verify_sampled in [true, false] {
-            for (max_retries, inject) in [(0, None), (1, Some(panic_once))] {
-                let dir = tmp_dir(&format!("opts-{verify_sampled}-{max_retries}"));
-                for (pass, cache) in [
-                    ("no cache", None),
-                    ("cold cache", Some(RunCache::new(&dir))),
-                    ("warm cache", Some(RunCache::new(&dir))),
-                ] {
-                    let opts = SweepOptions {
-                        max_retries,
-                        inject,
-                        cache,
-                        verify_sampled,
-                    };
-                    let rep = run_many_resilient(&jobs, 2, &opts);
-                    assert_rows_match(&reference, &rep.results, &format!("{opts:?} ({pass})"));
-                    assert_eq!(rep.stats.verify_failures, 0, "{opts:?} ({pass})");
-                }
-                let _ = fs::remove_dir_all(&dir);
-            }
+        let dir = tmp_dir("opts");
+        let cache = RunCache::new(&dir);
+        for (pass, cache) in [
+            ("no cache", None),
+            ("cold cache", Some(&cache)),
+            ("warm cache", Some(&cache)),
+        ] {
+            let rep = run_many_resilient(&jobs, 2, cache);
+            assert_rows_match(&reference, &rep.results, pass);
+            assert_eq!(rep.stats.verify_failures, 0, "{pass}");
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

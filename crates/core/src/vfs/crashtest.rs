@@ -18,7 +18,7 @@
 //!    breaks on purpose, proving the scan has teeth.
 //! 3. **Restart converges bit-identically** — rerunning over the
 //!    survivors with a clean filesystem reproduces the reference
-//!    results exactly, with no healthy job quarantined.
+//!    results exactly.
 //!
 //! `bench --bin crashmat` drives [`enumerate`] over the full operation
 //! range; the tests here cover a stride plus targeted points.
@@ -33,7 +33,7 @@ use crate::codec;
 use crate::config::SystemConfig;
 use crate::experiment::{run_many_checked, Job};
 use crate::runcache::{CacheEntry, RunCache};
-use crate::sweep::{run_many_resilient, SweepOptions, SweepReport};
+use crate::sweep::{run_many_resilient, SweepReport};
 use crate::vfs::{std_vfs, FaultSchedule, FaultVfs, OpRecord, Vfs};
 
 /// Unique cells of [`CrashScenario::dense`].
@@ -182,7 +182,7 @@ pub enum Verdict {
     /// entries) — described in the payload.
     Degraded(String),
     /// The durability contract broke: a panic, a torn file at a final
-    /// path, a diverged or quarantined job, or a failed restart.
+    /// path, a diverged job, or a failed restart.
     Violation(String),
 }
 
@@ -255,11 +255,7 @@ fn point_seed(seed: u64, k: u64) -> u64 {
 /// sequence is deterministic) over a run cache rooted at `dir`, doing
 /// its I/O through `vfs`.
 fn run_scenario(scn: &CrashScenario, dir: &Path, vfs: Arc<dyn Vfs>) -> SweepReport {
-    let opts = SweepOptions {
-        cache: Some(RunCache::with_vfs(dir, vfs)),
-        ..SweepOptions::default()
-    };
-    run_many_resilient(&scn.jobs, 1, &opts)
+    run_many_resilient(&scn.jobs, 1, Some(&RunCache::with_vfs(dir, vfs)))
 }
 
 /// The reference rows every crash point is held to: the scenario run
@@ -380,12 +376,6 @@ fn judge(
     }
 
     let rep = run_scenario(scn, dir, std_vfs());
-    if !rep.quarantined.is_empty() {
-        return Verdict::Violation(format!(
-            "op {k} ({mode}): healthy jobs quarantined on restart: {:?}",
-            rep.quarantined
-        ));
-    }
     for (i, r) in rep.results.iter().enumerate() {
         if format!("{r:?}") != reference[i] {
             return Verdict::Violation(format!(

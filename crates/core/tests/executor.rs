@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use refsim_core::experiment::Job;
 use refsim_core::prelude::*;
 use refsim_core::runcache::{job_fingerprint, RunCache};
-use refsim_core::sweep::{run_many_resilient, SweepOptions, SweepReport};
+use refsim_core::sweep::{run_many_resilient, SweepReport};
 use refsim_workloads::mix::WorkloadMix;
 use refsim_workloads::profiles::Benchmark;
 
@@ -97,18 +97,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Healthy + failing + duplicated cells produce bit-identical
-    /// results, retry counts, and quarantine lists at every worker
-    /// count.
+    /// results at every worker count.
     #[test]
     fn results_are_bit_identical_across_worker_counts(seed in 0u64..1024) {
         let jobs = mixed_jobs(seed);
-        let reference = run_many_resilient(&jobs, 1, &SweepOptions::default());
-        let want = outcome_fingerprints(&reference);
+        let want = outcome_fingerprints(&run_many_resilient(&jobs, 1, None));
         for threads in THREAD_MATRIX {
-            let rep = run_many_resilient(&jobs, threads, &SweepOptions::default());
+            let rep = run_many_resilient(&jobs, threads, None);
             prop_assert_eq!(&outcome_fingerprints(&rep), &want, "threads={}", threads);
-            prop_assert_eq!(rep.quarantined, reference.quarantined);
-            prop_assert_eq!(rep.retries, reference.retries);
         }
     }
 
@@ -122,13 +118,9 @@ proptest! {
         for threads in THREAD_MATRIX {
             let dir = TmpDir::new(&format!("m{threads}-{seed}"));
             let cache = RunCache::new(&dir.0);
-            let opts = SweepOptions {
-                cache: Some(cache.clone()),
-                ..SweepOptions::default()
-            };
-            let cold = run_many_resilient(&jobs, threads, &opts);
+            let cold = run_many_resilient(&jobs, threads, Some(&cache));
             let hashes = stored_replay_hashes(&cache, &jobs);
-            let warm = run_many_resilient(&jobs, threads, &opts);
+            let warm = run_many_resilient(&jobs, threads, Some(&cache));
             prop_assert_eq!(
                 outcome_fingerprints(&warm),
                 outcome_fingerprints(&cold),

@@ -18,7 +18,7 @@ use refsim_core::experiment::{run_many_checked, Job};
 use refsim_core::faults::FaultPlan;
 use refsim_core::runcache::{job_fingerprint, CacheEntry, RunCache};
 use refsim_core::sanitize::AuditLevel;
-use refsim_core::sweep::{run_many_resilient, SweepOptions};
+use refsim_core::sweep::run_many_resilient;
 use refsim_dram::time::Ps;
 use refsim_os::partition::PartitionPlan;
 use refsim_os::sched::SchedPolicy;
@@ -72,7 +72,7 @@ fn duplicated_jobs_execute_once_and_fan_out_in_order() {
     let b = tiny_job(2);
     let jobs = [a.clone(), b.clone(), a.clone(), a.clone()];
 
-    let report = run_many_resilient(&jobs, 2, &SweepOptions::default());
+    let report = run_many_resilient(&jobs, 2, None);
     assert_eq!(report.results.len(), 4);
     assert_eq!(
         report.stats.requested, 4,
@@ -99,7 +99,7 @@ fn duplicated_jobs_execute_once_and_fan_out_in_order() {
 #[test]
 fn duplicated_erroring_cell_fans_out_the_error() {
     let jobs = [broken_job(3), tiny_job(4), broken_job(3)];
-    let report = run_many_resilient(&jobs, 2, &SweepOptions::default());
+    let report = run_many_resilient(&jobs, 2, None);
     assert_eq!(
         report.stats.executed, 2,
         "broken cell runs once, good cell once"
@@ -111,10 +111,6 @@ fn duplicated_erroring_cell_fans_out_the_error() {
             .expect_err("broken cell must fail");
         assert_eq!(e.to_string(), "workload mix has no tasks", "cell {i}");
     }
-    assert!(
-        report.quarantined.is_empty(),
-        "a deterministic error is data, not a quarantine"
-    );
 }
 
 // ---- fingerprint ---------------------------------------------------------
@@ -216,11 +212,7 @@ fn audited_faulted_and_debug_runs_never_touch_the_cache() {
         ),
     ];
     for (what, job) in variants {
-        let opts = SweepOptions {
-            cache: Some(cache.clone()),
-            ..SweepOptions::default()
-        };
-        let report = run_many_resilient(std::slice::from_ref(&job), 1, &opts);
+        let report = run_many_resilient(std::slice::from_ref(&job), 1, Some(&cache));
         assert!(report.results[0].is_ok(), "{what}: run itself succeeds");
         assert_eq!(report.stats.bypassed, 1, "{what}: must bypass");
         assert_eq!(
@@ -243,12 +235,8 @@ fn audited_faulted_and_debug_runs_never_touch_the_cache() {
 fn warm_cache_serves_every_cell_and_verifies_one() {
     let cache = tmp_cache("warm");
     let jobs = [tiny_job(21), tiny_job(22), tiny_job(21)];
-    let opts = SweepOptions {
-        cache: Some(cache.clone()),
-        ..SweepOptions::default()
-    };
 
-    let cold = run_many_resilient(&jobs, 2, &opts);
+    let cold = run_many_resilient(&jobs, 2, Some(&cache));
     assert_eq!(cold.stats.misses, 2, "cold: every unique cell misses");
     assert_eq!(cold.stats.stores, 2, "cold: every unique cell is stored");
     assert_eq!(cold.stats.executed, 2);
@@ -258,7 +246,7 @@ fn warm_cache_serves_every_cell_and_verifies_one() {
         "two entries, no stray temp files"
     );
 
-    let warm = run_many_resilient(&jobs, 2, &opts);
+    let warm = run_many_resilient(&jobs, 2, Some(&cache));
     assert_eq!(warm.stats.hits, 2, "warm: every unique cell hits");
     assert_eq!(warm.stats.misses, 0);
     assert_eq!(
@@ -274,18 +262,6 @@ fn warm_cache_serves_every_cell_and_verifies_one() {
             "cell {i}: cached metrics must be bit-identical"
         );
     }
-
-    // Verification can also be disabled: pure cache replay, zero runs.
-    let replay = run_many_resilient(
-        &jobs,
-        2,
-        &SweepOptions {
-            verify_sampled: false,
-            ..opts
-        },
-    );
-    assert_eq!(replay.stats.executed, 0);
-    assert_eq!(replay.stats.hits, 2);
     let _ = std::fs::remove_dir_all(cache.dir());
 }
 
@@ -294,14 +270,10 @@ fn poisoned_entry_is_caught_by_verification_and_overwritten() {
     let cache = tmp_cache("poison");
     let job = tiny_job(31);
     let fp = job_fingerprint(&job.cfg, &job.mix);
-    let opts = SweepOptions {
-        cache: Some(cache.clone()),
-        ..SweepOptions::default()
-    };
 
     // Seed the cache honestly, then corrupt the entry's payload while
     // keeping its framing valid: claim a wrong replay hash.
-    let cold = run_many_resilient(std::slice::from_ref(&job), 1, &opts);
+    let cold = run_many_resilient(std::slice::from_ref(&job), 1, Some(&cache));
     let (honest, _) = cache.load(fp).expect("stored entry");
     cache
         .store(&CacheEntry {
@@ -310,7 +282,7 @@ fn poisoned_entry_is_caught_by_verification_and_overwritten() {
         })
         .expect("plant poisoned entry");
 
-    let warm = run_many_resilient(std::slice::from_ref(&job), 1, &opts);
+    let warm = run_many_resilient(std::slice::from_ref(&job), 1, Some(&cache));
     assert_eq!(warm.stats.verify_failures, 1, "the lie must be caught");
     assert_eq!(warm.stats.hits, 0, "a refuted entry is not a hit");
     assert_eq!(

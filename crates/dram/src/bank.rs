@@ -355,8 +355,10 @@ impl RankState {
 
     /// Records an ACT at `at`.
     pub fn on_act(&mut self, at: Ps, t: &TimingParams) {
-        self.recent_acts.rotate_left(1);
-        self.recent_acts[3] = at;
+        // Written out rather than `rotate_left(1)`, which is not always
+        // inlined into the controller's hot loop.
+        let [_, a, b, c] = self.recent_acts;
+        self.recent_acts = [a, b, c, at];
         self.act_count += 1;
         self.next_act_rank = self.next_act_rank.max(at + t.trrd);
     }
