@@ -5,8 +5,10 @@
 //! the FNV-64 of the cell's `RunMetrics` `Debug` string, the final
 //! `StateHashes::combined()`, and an FNV-64 fold over every sample of
 //! `replay::trace`. The cells cover all eight refresh policies under
-//! the event-skip engine, the fixed-step engine, a TLB-conflict mix and
-//! the co-design at two and four channels, all at a fast time scale.
+//! the event-skip engine, the fixed-step engine, a TLB-conflict mix,
+//! the co-design at two and four channels, the co-design with retention
+//! tracking under injected refresh faults, and the shadow backend, all
+//! at a fast time scale.
 //!
 //! On a mismatch the test writes the freshly computed digest next to
 //! the build output and fails with its path. A change that is meant to
@@ -26,6 +28,7 @@ use refsim_core::config::EngineKind;
 use refsim_core::prelude::*;
 use refsim_core::replay::{self, ReplayOptions, StateHashes};
 use refsim_core::system::System;
+use refsim_dram::backend::BackendKind;
 use refsim_dram::refresh::RefreshPolicyKind;
 use refsim_dram::time::Ps;
 use refsim_dram::timing::FgrMode;
@@ -105,6 +108,36 @@ fn cells() -> Vec<(String, SystemConfig, WorkloadMix)> {
             small_mix(),
         ));
     }
+    // The retention tracker and the shadow backend carry state of their
+    // own; these two cells put both streams under the digest.
+    cells.push((
+        "small/co-design/tracked-faults/event-skip".into(),
+        skip(
+            SystemConfig::table1()
+                .co_design()
+                .with_retention_tracking()
+                .with_fault_plan(FaultPlan {
+                    seed: 7,
+                    skip_ppm: 0,
+                    delay_ppm: 200_000,
+                    max_delay: Ps::from_us(2),
+                    weak_rows: 4,
+                    weak_limit: Ps::from_us(50),
+                    horizon: 1 << 20,
+                }),
+        ),
+        small_mix(),
+    ));
+    cells.push((
+        "small/AllBank/shadow/event-skip".into(),
+        skip(
+            SystemConfig::table1()
+                .with_refresh(RefreshPolicyKind::AllBank)
+                .with_retention_tracking()
+                .with_backend(BackendKind::Shadow),
+        ),
+        small_mix(),
+    ));
     cells
 }
 
