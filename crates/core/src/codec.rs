@@ -1,45 +1,33 @@
-//! Hand-rolled binary codec for machine state and run metrics.
+//! Hand-rolled binary codec for run metrics, and the FNV-1a state hasher.
 //!
-//! The vendored `serde` stub cannot derive, so state uses an explicit
-//! little-endian wire format instead. The format is deliberately simple
-//! — fixed-width little-endian integers, `u64` length prefixes for
-//! sequences, one tag byte for options and enums — so that the encoding
-//! of a given value is byte-deterministic: encoding the same state twice
-//! yields identical bytes, which is what the replay auditor's
-//! per-component hashes (see [`crate::replay`]) rely on.
+//! The vendored `serde` stub cannot derive, so the run cache uses an
+//! explicit little-endian wire format instead. The format is
+//! deliberately simple — fixed-width little-endian integers, `u64`
+//! length prefixes for sequences, one tag byte for options and enums —
+//! so that the encoding of a given value is byte-deterministic.
 //!
-//! Every state type implements [`Encode`], writing itself into an
-//! [`Enc`]; the bytes are only ever hashed. [`Decode`], reading a value
-//! back from a [`Dec`], exists only for what a run-cache entry stores:
-//! the primitives and containers, [`TaskId`], and the [`RunMetrics`]
-//! closure ([`TaskMetrics`], [`ControllerStats`], [`SchedStats`]).
+//! [`Encode`] writes a value into an [`Enc`]; [`Decode`] reads it back
+//! from a [`Dec`]. Both exist for what a run-cache entry stores: the
+//! primitives and containers, [`TaskId`], and the [`RunMetrics`] closure
+//! ([`TaskMetrics`], [`ControllerStats`], [`SchedStats`]).
+//!
+//! Machine state is never encoded into a buffer. Each stateful type in
+//! the component crates streams its own fields into a
+//! [`std::hash::Hasher`] (a `hash_state` method) in the same wire
+//! format, and [`Fnv64`] folds the stream as it arrives — the replay
+//! auditor's per-component hashes (see [`crate::replay`]).
 //!
 //! Versioning happens at the container level: [`crate::runcache`]
 //! frames a payload with a magic number, a format version, a schema
 //! salt and a checksum. The codec itself is version-unaware.
 
 use std::fmt;
+use std::hash::Hasher;
 
-use refsim_cpu::cache::{CacheStats, SavedCache, SavedLine};
-use refsim_cpu::core::SavedExecContext;
-use refsim_cpu::hierarchy::{HierStats, SavedHierarchy};
-use refsim_dram::backend::SavedBackend;
-use refsim_dram::bank::{BankPhase, SavedBank, SavedRank};
-use refsim_dram::controller::{SavedController, SavedEntry, SavedPendingRefresh};
-use refsim_dram::integrity::{RetentionViolation, SavedBankTrack, SavedTracker, ViolationKind};
-use refsim_dram::refresh::RefreshOp;
-use refsim_dram::request::Completion;
-use refsim_dram::shadow::{SavedShadow, SavedShadowBank, SavedShadowRank};
 use refsim_dram::stats::ControllerStats;
 use refsim_dram::time::Ps;
-use refsim_os::bank_alloc::{BankAllocStats, SavedBankAlloc};
-use refsim_os::buddy::SavedBuddy;
-use refsim_os::cfs::SavedRunqueue;
-use refsim_os::sched::{SavedScheduler, SchedStats};
+use refsim_os::sched::SchedStats;
 use refsim_os::task::TaskId;
-use refsim_os::vm::SavedAddressSpace;
-use refsim_workloads::pattern::SavedPattern;
-use refsim_workloads::profiles::SavedWorkload;
 
 use crate::metrics::{RunMetrics, TaskMetrics};
 
@@ -186,11 +174,7 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Binary serialization of state and metrics.
-///
-/// Implemented locally for primitives and for every component crate's
-/// `Saved*` plain-data type, keeping all byte-format knowledge in this
-/// one module.
+/// Binary serialization of the values a run-cache entry stores.
 pub trait Encode {
     /// Writes `self` to the stream.
     fn encode(&self, e: &mut Enc);
@@ -413,79 +397,7 @@ impl<T: Decode + Copy + Default, const N: usize> Decode for [T; N] {
     }
 }
 
-// ---- workloads --------------------------------------------------------
-
-impl Encode for SavedPattern {
-    fn encode(&self, e: &mut Enc) {
-        self.cursors.encode(e);
-        self.next_stream.encode(e);
-    }
-}
-
-impl Encode for SavedWorkload {
-    fn encode(&self, e: &mut Enc) {
-        self.rng_state.encode(e);
-        self.cold.encode(e);
-        self.hot_cursor.encode(e);
-        e.put_u32(self.mem_credit);
-    }
-}
-
-// ---- cpu --------------------------------------------------------------
-
-impl Encode for SavedExecContext {
-    fn encode(&self, e: &mut Enc) {
-        self.now.encode(e);
-        self.issued.encode(e);
-        self.outstanding.encode(e);
-        self.dependent_block.encode(e);
-        self.stall_time.encode(e);
-        self.misses.encode(e);
-    }
-}
-
-impl Encode for SavedLine {
-    fn encode(&self, e: &mut Enc) {
-        self.tag.encode(e);
-        self.valid.encode(e);
-        self.dirty.encode(e);
-        self.stamp.encode(e);
-    }
-}
-
-impl Encode for CacheStats {
-    fn encode(&self, e: &mut Enc) {
-        self.hits.encode(e);
-        self.misses.encode(e);
-        self.writebacks.encode(e);
-    }
-}
-
-impl Encode for SavedCache {
-    fn encode(&self, e: &mut Enc) {
-        self.lines.encode(e);
-        self.tick.encode(e);
-        self.stats.encode(e);
-    }
-}
-
-impl Encode for HierStats {
-    fn encode(&self, e: &mut Enc) {
-        self.accesses.encode(e);
-        self.llc_misses.encode(e);
-        self.writebacks.encode(e);
-    }
-}
-
-impl Encode for SavedHierarchy {
-    fn encode(&self, e: &mut Enc) {
-        self.l1.encode(e);
-        self.l2.encode(e);
-        self.stats.encode(e);
-    }
-}
-
-// ---- os ---------------------------------------------------------------
+// ---- component types a run-cache entry stores -----------------------
 
 impl Encode for TaskId {
     fn encode(&self, e: &mut Enc) {
@@ -496,13 +408,6 @@ impl Encode for TaskId {
 impl Decode for TaskId {
     fn decode(d: &mut Dec<'_>) -> Result<Self, CodecError> {
         Ok(TaskId(d.get_u32()?))
-    }
-}
-
-impl Encode for SavedRunqueue {
-    fn encode(&self, e: &mut Enc) {
-        self.entries.encode(e);
-        self.min_vruntime.encode(e);
     }
 }
 
@@ -523,148 +428,6 @@ impl Decode for SchedStats {
             eta_fallbacks: Decode::decode(d)?,
             migrations: Decode::decode(d)?,
         })
-    }
-}
-
-impl Encode for SavedScheduler {
-    fn encode(&self, e: &mut Enc) {
-        self.queues.encode(e);
-        self.stats.encode(e);
-    }
-}
-
-impl Encode for SavedAddressSpace {
-    fn encode(&self, e: &mut Enc) {
-        self.pages.encode(e);
-        self.faults.encode(e);
-    }
-}
-
-impl Encode for SavedBuddy {
-    fn encode(&self, e: &mut Enc) {
-        self.frames.encode(e);
-        self.free_frames.encode(e);
-        self.free_lists.encode(e);
-        e.put_u64(self.alloc_map.len() as u64);
-        e.put_bytes(&self.alloc_map);
-    }
-}
-
-impl Encode for BankAllocStats {
-    fn encode(&self, e: &mut Enc) {
-        self.allocations.encode(e);
-        self.cache_hits.encode(e);
-        self.pulls.encode(e);
-        self.fallbacks.encode(e);
-    }
-}
-
-impl Encode for SavedBankAlloc {
-    fn encode(&self, e: &mut Enc) {
-        self.buddy.encode(e);
-        self.per_bank_free.encode(e);
-        self.stats.encode(e);
-    }
-}
-
-// ---- dram -------------------------------------------------------------
-
-impl Encode for BankPhase {
-    fn encode(&self, e: &mut Enc) {
-        e.put_u8(match self {
-            BankPhase::Idle => 0,
-            BankPhase::Active => 1,
-            BankPhase::Refreshing => 2,
-        });
-    }
-}
-
-impl Encode for SavedBank {
-    fn encode(&self, e: &mut Enc) {
-        self.phase.encode(e);
-        self.open_row.encode(e);
-        self.next_act.encode(e);
-        self.next_pre.encode(e);
-        self.next_cas.encode(e);
-        self.busy_until.encode(e);
-        self.rows_refreshed.encode(e);
-        self.refresh_busy_total.encode(e);
-        self.activations.encode(e);
-    }
-}
-
-impl Encode for SavedRank {
-    fn encode(&self, e: &mut Enc) {
-        self.recent_acts.encode(e);
-        self.act_count.encode(e);
-        self.next_act_rank.encode(e);
-        self.next_rd_rank.encode(e);
-        self.refresh_until.encode(e);
-        self.refresh_busy_total.encode(e);
-    }
-}
-
-impl Encode for ViolationKind {
-    fn encode(&self, e: &mut Enc) {
-        e.put_u8(match self {
-            ViolationKind::LateRefresh => 0,
-            ViolationKind::StaleAtEnd => 1,
-            ViolationKind::WeakRow => 2,
-        });
-    }
-}
-
-impl Encode for RetentionViolation {
-    fn encode(&self, e: &mut Enc) {
-        self.kind.encode(e);
-        self.flat_bank.encode(e);
-        self.row_start.encode(e);
-        self.row_end.encode(e);
-        self.interval.encode(e);
-        self.limit.encode(e);
-        self.at.encode(e);
-    }
-}
-
-impl Encode for SavedBankTrack {
-    fn encode(&self, e: &mut Enc) {
-        self.cursor.encode(e);
-        self.spans.encode(e);
-    }
-}
-
-impl Encode for SavedTracker {
-    fn encode(&self, e: &mut Enc) {
-        self.banks.encode(e);
-        self.weak_last.encode(e);
-        self.violations.encode(e);
-        self.total.encode(e);
-    }
-}
-
-impl Encode for RefreshOp {
-    fn encode(&self, e: &mut Enc) {
-        match *self {
-            RefreshOp::AllBank { rank, rows } => {
-                e.put_u8(0);
-                e.put_u8(rank);
-                e.put_u32(rows);
-            }
-            RefreshOp::PerBank { bank, rows } => {
-                e.put_u8(1);
-                e.put_u8(bank.rank);
-                e.put_u8(bank.bank);
-                e.put_u32(rows);
-            }
-        }
-    }
-}
-
-impl Encode for Completion {
-    fn encode(&self, e: &mut Enc) {
-        self.id.0.encode(e);
-        self.at.encode(e);
-        self.latency.encode(e);
     }
 }
 
@@ -721,112 +484,6 @@ impl Decode for ControllerStats {
             injected_skip_faults: Decode::decode(d)?,
             injected_delay_faults: Decode::decode(d)?,
         })
-    }
-}
-
-impl Encode for SavedEntry {
-    fn encode(&self, e: &mut Enc) {
-        self.id.encode(e);
-        self.write.encode(e);
-        self.paddr.encode(e);
-        self.arrival.encode(e);
-        self.core.encode(e);
-        self.task.encode(e);
-        self.needed_act.encode(e);
-        self.needed_pre.encode(e);
-        self.refresh_blocked.encode(e);
-    }
-}
-
-impl Encode for SavedPendingRefresh {
-    fn encode(&self, e: &mut Enc) {
-        self.op.encode(e);
-        self.due.encode(e);
-        self.injected_delay.encode(e);
-    }
-}
-
-impl Encode for SavedController {
-    fn encode(&self, e: &mut Enc) {
-        self.banks.encode(e);
-        self.ranks.encode(e);
-        self.read_q.encode(e);
-        self.write_q.encode(e);
-        self.draining.encode(e);
-        self.cursor.encode(e);
-        self.cmd_bus_free.encode(e);
-        self.data_bus_free.encode(e);
-        self.data_bus_owner.encode(e);
-        self.pending_refresh.encode(e);
-        self.epoch_start.encode(e);
-        self.epoch_bus_busy.encode(e);
-        self.last_utilization.encode(e);
-        self.completions.encode(e);
-        self.stats.encode(e);
-        self.integrity.encode(e);
-        self.refresh_seq.encode(e);
-        self.policy_words.encode(e);
-    }
-}
-
-impl Encode for SavedShadowBank {
-    fn encode(&self, e: &mut Enc) {
-        self.open_row.encode(e);
-        self.last_act.encode(e);
-        self.ready_act.encode(e);
-        self.ready_cas.encode(e);
-        self.ready_pre.encode(e);
-        self.refresh_until.encode(e);
-        self.last_cmd.encode(e);
-        self.rows_refreshed.encode(e);
-        self.activations.encode(e);
-        self.refresh_busy.encode(e);
-    }
-}
-
-impl Encode for SavedShadowRank {
-    fn encode(&self, e: &mut Enc) {
-        self.acts.encode(e);
-        self.act_pos.encode(e);
-        self.read_ready.encode(e);
-        self.refresh_until.encode(e);
-    }
-}
-
-impl Encode for SavedShadow {
-    fn encode(&self, e: &mut Enc) {
-        self.banks.encode(e);
-        self.ranks.encode(e);
-        self.read_q.encode(e);
-        self.write_q.encode(e);
-        self.draining.encode(e);
-        self.cursor.encode(e);
-        self.data_bus_free.encode(e);
-        self.data_bus_owner.encode(e);
-        self.pending_refresh.encode(e);
-        self.epoch_start.encode(e);
-        self.epoch_bus_busy.encode(e);
-        self.last_utilization.encode(e);
-        self.completions.encode(e);
-        self.stats.encode(e);
-        self.integrity.encode(e);
-        self.refresh_seq.encode(e);
-        self.policy_words.encode(e);
-    }
-}
-
-impl Encode for SavedBackend {
-    fn encode(&self, e: &mut Enc) {
-        match self {
-            SavedBackend::Primary(s) => {
-                e.put_u8(0);
-                s.encode(e);
-            }
-            SavedBackend::Shadow(s) => {
-                e.put_u8(1);
-                s.encode(e);
-            }
-        }
     }
 }
 
@@ -895,6 +552,11 @@ pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a hasher over byte streams — the state digest the
 /// deterministic-replay auditor samples each quantum.
+///
+/// As a [`Hasher`] it writes integers as explicit little-endian bytes,
+/// so a state stream hashes the same on any host and equals the FNV-1a
+/// of the matching [`Enc`] bytes. Stream lengths with `write_u64`, never
+/// `write_usize`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Fnv64 {
     state: u64,
@@ -911,26 +573,38 @@ impl Fnv64 {
     pub fn new() -> Self {
         Fnv64 { state: FNV_OFFSET }
     }
+}
 
-    /// Folds `bytes` into the hash state.
-    pub fn update(&mut self, bytes: &[u8]) {
+impl Hasher for Fnv64 {
+    fn finish(&self) -> u64 {
+        self.state
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(FNV_PRIME);
         }
     }
 
-    /// The current digest.
-    pub fn digest(&self) -> u64 {
-        self.state
+    fn write_u8(&mut self, v: u8) {
+        self.write(&[v]);
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.write(&v.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
     }
 }
 
 /// One-shot FNV-1a of `bytes`.
 pub fn fnv64(bytes: &[u8]) -> u64 {
     let mut h = Fnv64::new();
-    h.update(bytes);
-    h.digest()
+    h.write(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
@@ -1004,7 +678,7 @@ mod tests {
     /// The component-crate types a run-cache entry stores decode back
     /// to the value that was encoded.
     #[test]
-    fn saved_component_types_roundtrip() {
+    fn run_metrics_types_roundtrip() {
         roundtrip(&ControllerStats {
             reads_completed: 10,
             read_latency_total: Ps::from_us(5),
@@ -1036,18 +710,52 @@ mod tests {
         });
     }
 
+    /// Records a state stream as raw bytes.
+    #[derive(Default)]
+    struct Bytes(Vec<u8>);
+
+    impl Hasher for Bytes {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    /// A live retention tracker, with refreshes, a weak row and a
+    /// violation on record, streams the same bytes every time, and
+    /// [`Fnv64`] hashes exactly those bytes.
     #[test]
     fn encoding_is_byte_deterministic() {
-        let v = SavedTracker {
-            banks: vec![SavedBankTrack {
-                cursor: 3,
-                spans: vec![(0, 128, Ps::from_us(2))],
-            }],
-            weak_last: vec![Ps::from_us(1)],
-            violations: vec![],
-            total: 0,
+        use refsim_dram::integrity::{IntegrityConfig, RetentionTracker, WeakRow};
+
+        let mut t = RetentionTracker::new(
+            2,
+            256,
+            IntegrityConfig {
+                limit: Ps::from_us(64),
+                slack: Ps::ZERO,
+            },
+        );
+        t.set_weak_rows(&[WeakRow {
+            flat_bank: 1,
+            row: 5,
+            limit: Ps::from_us(10),
+        }]);
+        t.on_refresh(0, 128, Ps::from_us(20)).expect("refresh");
+        t.finalize(Ps::from_us(200));
+        assert!(t.total_violations() > 0, "the stream covers violations");
+        let stream = || {
+            let mut b = Bytes::default();
+            t.hash_state(&mut b);
+            b.0
         };
-        assert_eq!(to_bytes(&v), to_bytes(&v));
+        let bytes = stream();
+        assert_eq!(bytes, stream());
+        let mut h = Fnv64::new();
+        t.hash_state(&mut h);
+        assert_eq!(h.finish(), fnv64(&bytes));
     }
 
     #[test]
@@ -1061,8 +769,8 @@ mod tests {
     #[test]
     fn fnv_incremental_equals_oneshot() {
         let mut h = Fnv64::new();
-        h.update(b"foo");
-        h.update(b"bar");
-        assert_eq!(h.digest(), fnv64(b"foobar"));
+        h.write(b"foo");
+        h.write(b"bar");
+        assert_eq!(h.finish(), fnv64(b"foobar"));
     }
 }

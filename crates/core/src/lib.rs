@@ -21,7 +21,6 @@ pub mod replay;
 pub mod report;
 pub mod runcache;
 pub mod sanitize;
-pub mod state;
 pub mod sweep;
 pub mod system;
 pub mod vfs;

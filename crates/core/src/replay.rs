@@ -11,6 +11,11 @@
 //! the difference between "the run broke somewhere" and "the scheduler
 //! state diverged at quantum 17".
 //!
+//! The hashes are taken from the live machine: every stateful type
+//! streams its own fields straight into its component's
+//! [`Fnv64`](crate::codec::Fnv64) (`System::hash_state`), so sampling
+//! copies no state.
+//!
 //! Three verification modes:
 //!
 //! * [`replay_verify`] — run the config twice, expect zero divergence;
@@ -20,18 +25,18 @@
 //!   a chosen quantum and check the auditor attributes it correctly.
 
 use std::fmt;
+use std::hash::Hasher;
 
 use refsim_dram::time::Ps;
 use refsim_workloads::mix::WorkloadMix;
 
-use crate::codec::{fnv64, to_bytes, Enc, Encode};
+use crate::codec::Fnv64;
 use crate::config::{EngineKind, SystemConfig};
 use crate::error::RefsimError;
-use crate::state::SavedSystem;
 use crate::system::System;
 
-/// Component-level FNV-1a hashes of a [`SavedSystem`], used to attribute
-/// a divergence to the subsystem that caused it.
+/// Component-level FNV-1a hashes of a [`System`]'s dynamic state, used
+/// to attribute a divergence to the subsystem that caused it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StateHashes {
     /// Memory controllers: banks, queues, refresh policy, trackers.
@@ -47,41 +52,27 @@ pub struct StateHashes {
 }
 
 impl StateHashes {
-    /// Hashes each component section of `s` independently.
-    pub fn of(s: &SavedSystem) -> Self {
-        let os = {
-            let mut e = Enc::new();
-            s.tasks.encode(&mut e);
-            s.sched.encode(&mut e);
-            s.alloc.encode(&mut e);
-            fnv64(&e.into_bytes())
-        };
-        let system = {
-            let mut e = Enc::new();
-            s.clock.encode(&mut e);
-            s.next_req.encode(&mut e);
-            s.measure_start.encode(&mut e);
-            s.inflight.encode(&mut e);
-            s.base.encode(&mut e);
-            s.sched_base_stats.encode(&mut e);
-            fnv64(&e.into_bytes())
-        };
+    /// Streams each component of `sys`'s state into its own hasher
+    /// (see `System::hash_state` for what is covered).
+    pub fn of(sys: &System) -> Self {
+        let [mut dram, mut cpu, mut os, mut workloads, mut system] = [Fnv64::new(); 5];
+        sys.hash_state([&mut dram, &mut cpu, &mut os, &mut workloads, &mut system]);
         StateHashes {
-            dram: fnv64(&to_bytes(&s.mcs)),
-            cpu: fnv64(&to_bytes(&s.cores)),
-            os,
-            workloads: fnv64(&to_bytes(&s.sims)),
-            system,
+            dram: dram.finish(),
+            cpu: cpu.finish(),
+            os: os.finish(),
+            workloads: workloads.finish(),
+            system: system.finish(),
         }
     }
 
     /// A single hash folding all five components.
     pub fn combined(&self) -> u64 {
-        let mut e = Enc::new();
+        let mut h = Fnv64::new();
         for w in [self.dram, self.cpu, self.os, self.workloads, self.system] {
-            e.put_u64(w);
+            h.write_u64(w);
         }
-        fnv64(&e.into_bytes())
+        h.finish()
     }
 
     /// The first component whose hash differs from `other`'s, with both
@@ -234,7 +225,7 @@ fn trace_with(
         samples.push(ReplaySample {
             quantum: q as u64,
             at: sys.now(),
-            hashes: StateHashes::of(&sys.export_state()),
+            hashes: StateHashes::of(&sys),
         });
     }
     Ok(samples)

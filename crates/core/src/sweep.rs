@@ -114,7 +114,7 @@ fn run_job(job: &Job, want_hash: bool) -> Result<RunOutcome, RefsimError> {
     // Invariant violations become a typed per-job error row rather than
     // a crashed sweep.
     sys.finish_audit()?;
-    let hash = want_hash.then(|| StateHashes::of(&sys.export_state()).combined());
+    let hash = want_hash.then(|| StateHashes::of(&sys).combined());
     Ok(RunOutcome {
         metrics: sys.collect(),
         hash,

@@ -11,6 +11,8 @@
 //! the hardware's per-bank refresh slices so the refresh-aware scheduler
 //! (Algorithm 3) can dodge the bank being refreshed.
 
+use std::hash::Hasher;
+
 use refsim_cpu::core::ExecContext;
 use refsim_cpu::hierarchy::{CacheHierarchy, HierOutcome};
 use refsim_dram::backend::{build_backend, MemoryBackend};
@@ -34,9 +36,6 @@ use crate::metrics::{RunMetrics, TaskMetrics};
 use crate::sanitize::{
     AuditLevel, AuditScope, ChannelSample, CoreSample, Event, QuantumSample, Sanitizer,
     SchedSample, TaskSample, ViolationReport,
-};
-use crate::state::{
-    SavedBaseline, SavedCore, SavedInflight, SavedPendingMem, SavedSim, SavedSystem, SavedTask,
 };
 
 /// Forward-progress budget for one `run_until` span of `span` ps: a
@@ -81,6 +80,28 @@ struct TaskSim {
     tlb: Tlb,
 }
 
+impl TaskSim {
+    /// Streams the workload generator, the execution context and the
+    /// back-pressured memory operation (tag byte, then its writeback
+    /// and fill options and its store and serializing flags). The TLB
+    /// is an accelerator, not state.
+    fn hash_state(&self, h: &mut dyn Hasher) {
+        self.wl.hash_state(h);
+        self.ctx.hash_state(h);
+        h.write_u8(u8::from(self.pending.is_some()));
+        if let Some(p) = self.pending {
+            for line in [p.writeback, p.fill] {
+                h.write_u8(u8::from(line.is_some()));
+                if let Some(l) = line {
+                    h.write_u64(l);
+                }
+            }
+            h.write_u8(u8::from(p.write));
+            h.write_u8(u8::from(p.dependent));
+        }
+    }
+}
+
 /// Sets in a [`Tlb`]; a power of two.
 const TLB_SETS: usize = 64;
 
@@ -88,7 +109,7 @@ const TLB_SETS: usize = 64;
 /// bits, one `(vpn, frame base)` pair per set, `u64::MAX` marking an
 /// empty set (no VPN reaches it). Purely an accelerator — mappings only
 /// grow and never move, so a cached pair cannot go stale within a run.
-/// Runtime-only: never exported.
+/// Runtime-only: never hashed.
 #[derive(Debug)]
 struct Tlb {
     sets: [(u64, u64); TLB_SETS],
@@ -127,6 +148,32 @@ struct CoreSlot {
     inflight_lines: FnvMap<ReqId>,
 }
 
+impl CoreSlot {
+    /// Streams the core's caches, current task (tag byte, then the id),
+    /// quantum anchors and in-flight fill lines sorted by `(line, id)`.
+    fn hash_state(&self, h: &mut dyn Hasher) {
+        self.caches.hash_state(h);
+        h.write_u8(u8::from(self.current.is_some()));
+        if let Some(task) = self.current {
+            h.write_u32(task);
+        }
+        h.write_u64(self.sched_base.as_ps());
+        h.write_u64(self.quantum_end.as_ps());
+        let mut lines: Vec<(u64, u64)> = self
+            .inflight_lines
+            .iter()
+            .map(|(line, id)| (line, id.0))
+            .collect();
+        lines.sort_unstable();
+        h.write_u64(lines.len() as u64);
+        for (line, id) in lines {
+            h.write_u64(line);
+            h.write_u64(id);
+        }
+    }
+}
+
+/// A task's counters at the measurement boundary.
 #[derive(Debug, Clone, Copy, Default)]
 struct TaskSnapshot {
     instructions: u64,
@@ -136,6 +183,19 @@ struct TaskSnapshot {
     spilled: u64,
     cpu_time: Ps,
     schedules: u64,
+}
+
+impl TaskSnapshot {
+    /// Streams the seven counters in declaration order.
+    fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.instructions);
+        h.write_u64(self.stall.as_ps());
+        h.write_u64(self.misses);
+        h.write_u64(self.faults);
+        h.write_u64(self.spilled);
+        h.write_u64(self.cpu_time.as_ps());
+        h.write_u64(self.schedules);
+    }
 }
 
 /// The complete simulated machine.
@@ -176,7 +236,7 @@ pub struct System {
     sched_base_stats: refsim_os::sched::SchedStats,
     measure_start: Ps,
     /// Runtime invariant sanitizer (`simsan`); present only when
-    /// `cfg.audit != Off`. Not part of the exported state.
+    /// `cfg.audit != Off`. Not part of the hashed state.
     san: Option<Box<Sanitizer>>,
     /// Scheduler preemptions observed so far (audit quantum ordinal).
     quanta: u64,
@@ -189,13 +249,13 @@ pub struct System {
     /// Reusable buffer for the skip horizon's per-channel completion
     /// bounds `(next action, channel)`.
     bounds_buf: Vec<(Ps, usize)>,
-    /// Engine telemetry (not exported, not hashed): loop iterations
-    /// and which horizon constraint bound each skip decision.
+    /// Engine telemetry (not hashed): loop iterations and which
+    /// horizon constraint bound each skip decision.
     engine_stats: EngineStats,
 }
 
 /// Telemetry for the step loop and the event-horizon skip decisions.
-/// Diagnostic only — excluded from the exported state and replay hashes.
+/// Diagnostic only — excluded from the replay hashes.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct EngineStats {
     /// Step-loop iterations executed.
@@ -766,8 +826,8 @@ impl System {
     }
 
     /// Engine telemetry for the run so far: loop iterations and the
-    /// skip-decision breakdown. Diagnostic only — never exported or
-    /// hashed, so reading it cannot perturb replay equivalence.
+    /// skip-decision breakdown. Diagnostic only — never hashed, so
+    /// reading it cannot perturb replay equivalence.
     pub fn engine_stats(&self) -> EngineStats {
         self.engine_stats
     }
@@ -801,107 +861,68 @@ impl System {
         }
     }
 
-    // ---- state export --------------------------------------------------
+    // ---- state hashing -------------------------------------------------
 
-    /// Captures the complete dynamic state of the machine as plain data.
+    /// Streams the complete dynamic state of the machine into one hasher
+    /// per component, `[dram, cpu, os, workloads, system]`, for the
+    /// replay auditor's hashes ([`crate::replay::StateHashes`]). Valid at
+    /// any step boundary — in practice, whenever the caller is between
+    /// `run_until` calls.
     ///
-    /// Together with the `(config, mix)` pair the system was built from,
-    /// the returned [`SavedSystem`] fully determines every future step
-    /// through the *same* `run_until` boundaries, which is what the
-    /// replay auditor's per-component hashes rely on. Exports are valid
-    /// at any step boundary — in practice, whenever the caller is
-    /// between `run_until` calls.
-    pub fn export_state(&self) -> SavedSystem {
-        let cores = self
-            .cores
-            .iter()
-            .map(|core| {
-                let mut lines: Vec<(u64, u64)> = core
-                    .inflight_lines
-                    .iter()
-                    .map(|(line, id)| (line, id.0))
-                    .collect();
-                lines.sort_unstable();
-                SavedCore {
-                    caches: core.caches.save_state(),
-                    current: core.current,
-                    sched_base: core.sched_base,
-                    quantum_end: core.quantum_end,
-                    inflight_lines: lines,
-                }
-            })
-            .collect();
-        let tasks = self
-            .os_tasks
-            .iter()
-            .map(|t| SavedTask {
-                vruntime: t.vruntime,
-                state: match t.state {
-                    TaskState::Runnable => 0,
-                    TaskState::Running => 1,
-                    TaskState::Blocked => 2,
-                },
-                cpu: t.cpu,
-                possible_banks: t.possible_banks.bits(),
-                last_alloced_bank: t.last_alloced_bank,
-                mm: t.mm.save_state(),
-                bytes_per_bank: t.bytes_per_bank.clone(),
-                spilled_pages: t.spilled_pages,
-                cpu_time: t.cpu_time,
-                schedules: t.schedules,
-            })
-            .collect();
-        let sims = self
-            .sims
-            .iter()
-            .map(|s| SavedSim {
-                wl: s.wl.save_state(),
-                ctx: s.ctx.save_state(),
-                pending: s.pending.map(|p| SavedPendingMem {
-                    writeback: p.writeback,
-                    fill: p.fill,
-                    write: p.write,
-                    dependent: p.dependent,
-                }),
-            })
-            .collect();
-        let mut inflight: Vec<SavedInflight> = self
-            .inflight
-            .iter()
-            .map(|(id, &(task, core, line))| SavedInflight {
-                id,
-                task,
-                core,
-                line,
-            })
-            .collect();
-        inflight.sort_unstable_by_key(|i| i.id);
-        SavedSystem {
-            clock: self.clock,
-            next_req: self.next_req,
-            measure_start: self.measure_start,
-            mcs: self.mcs.iter().map(|mc| mc.save_backend()).collect(),
-            cores,
-            tasks,
-            sims,
-            sched: self.sched.save_state(),
-            alloc: self.alloc.save_state(),
-            inflight,
-            base: self
-                .base
-                .iter()
-                .map(|b| SavedBaseline {
-                    instructions: b.instructions,
-                    stall: b.stall,
-                    misses: b.misses,
-                    faults: b.faults,
-                    spilled: b.spilled,
-                    cpu_time: b.cpu_time,
-                    schedules: b.schedules,
-                })
-                .collect(),
-            sched_base_stats: self.sched_base_stats,
+    /// Streamed is **dynamic state only**: the configuration and
+    /// workload mix are inputs, not state. Not streamed either:
+    /// controller command-trace buffers (diagnostic only), the fault
+    /// plan, accelerators rebuilt from state (TLBs, lookup memos, plan
+    /// caches), the sanitizer, and floating-point *derived* reporting
+    /// values outside a controller's `last_utilization`. Everything that
+    /// feeds future simulation decisions **is** streamed, so two runs
+    /// whose streams hash alike at a step boundary continue identically
+    /// through the same `run_until` boundaries.
+    ///
+    /// Every sequence is length-prefixed and every option is one tag
+    /// byte. Hash-map contents are sorted first so the stream does not
+    /// depend on slot layout: a core's in-flight lines by `(line, id)`,
+    /// the in-flight fills by request id.
+    pub(crate) fn hash_state(&self, [dram, cpu, os, workloads, system]: [&mut dyn Hasher; 5]) {
+        dram.write_u64(self.mcs.len() as u64);
+        for mc in &self.mcs {
+            mc.hash_state(dram);
         }
+
+        cpu.write_u64(self.cores.len() as u64);
+        for core in &self.cores {
+            core.hash_state(cpu);
+        }
+
+        os.write_u64(self.os_tasks.len() as u64);
+        for t in &self.os_tasks {
+            t.hash_state(os);
+        }
+        self.sched.hash_state(os);
+        self.alloc.hash_state(os);
+
+        workloads.write_u64(self.sims.len() as u64);
+        for s in &self.sims {
+            s.hash_state(workloads);
+        }
+
+        system.write_u64(self.clock.as_ps());
+        system.write_u64(self.next_req);
+        system.write_u64(self.measure_start.as_ps());
+        let mut inflight: Vec<_> = self.inflight.iter().collect();
+        inflight.sort_unstable_by_key(|&(id, _)| id);
+        system.write_u64(inflight.len() as u64);
+        for (id, &(task, core, line)) in inflight {
+            system.write_u64(id);
+            system.write_u32(task);
+            system.write_u8(core);
+            system.write_u64(line);
+        }
+        system.write_u64(self.base.len() as u64);
+        for b in &self.base {
+            b.hash_state(system);
+        }
+        self.sched_base_stats.hash_state(system);
     }
 
     /// Negative-control hook for the replay auditor: XORs `mask` into

@@ -21,6 +21,7 @@
 //!
 //! and says why in its change notes.
 
+use std::hash::Hasher;
 use std::path::PathBuf;
 
 use refsim_core::codec::{fnv64, Fnv64};
@@ -149,15 +150,15 @@ fn cell_line(label: &str, cfg: &SystemConfig, mix: &WorkloadMix) -> String {
         sys.try_run_until(cfg.warmup)?;
         sys.begin_measure();
         sys.try_run_until(cfg.warmup + cfg.measure)?;
-        let state = StateHashes::of(&sys.export_state()).combined();
+        let state = StateHashes::of(&sys).combined();
         let metrics = fnv64(format!("{:?}", sys.collect()).as_bytes());
         let samples = replay::trace(cfg, mix, &ReplayOptions::for_config(cfg))?;
         let mut fold = Fnv64::new();
         for s in &samples {
-            fold.update(&s.at.as_ps().to_le_bytes());
-            fold.update(&s.hashes.combined().to_le_bytes());
+            fold.write_u64(s.at.as_ps());
+            fold.write_u64(s.hashes.combined());
         }
-        Ok((metrics, state, fold.digest(), samples.len()))
+        Ok((metrics, state, fold.finish(), samples.len()))
     };
     match run() {
         Ok((metrics, state, trace, n)) => format!(

@@ -57,7 +57,7 @@ fn run_once(cfg: &SystemConfig, mix: &WorkloadMix) -> (RunMetrics, StateHashes) 
     sys.begin_measure();
     sys.try_run_until(cfg.warmup + cfg.measure)
         .expect("measure");
-    let hashes = StateHashes::of(&sys.export_state());
+    let hashes = StateHashes::of(&sys);
     (sys.collect(), hashes)
 }
 
@@ -156,7 +156,7 @@ fn overshooting_engine_is_caught() {
         // The invariant layer (sanitizer / watchdog) fired — ideal.
         Err(_) => true,
         // Or the corruption is silent locally but visible differentially.
-        Ok(()) => StateHashes::of(&sys.export_state()).combined() != h_ref.combined(),
+        Ok(()) => StateHashes::of(&sys).combined() != h_ref.combined(),
     };
     assert!(
         caught,
@@ -182,10 +182,7 @@ fn overshoot_hook_is_inert_under_fixed_step() {
     sys.begin_measure();
     sys.try_run_until(cfg.warmup + cfg.measure)
         .expect("measure");
-    assert_eq!(
-        StateHashes::of(&sys.export_state()).combined(),
-        h_ref.combined()
-    );
+    assert_eq!(StateHashes::of(&sys).combined(), h_ref.combined());
     assert_eq!(sys.collect(), m_ref);
 }
 

@@ -5,6 +5,8 @@
 //! on miss (the fill's timing is modeled by the core/memory simulation,
 //! not the tag store).
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
 /// Cache shape parameters.
@@ -115,31 +117,6 @@ impl CacheStats {
     }
 }
 
-/// One tag-store line, captured for state hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavedLine {
-    /// Line tag.
-    pub tag: u64,
-    /// Valid bit.
-    pub valid: bool,
-    /// Dirty bit.
-    pub dirty: bool,
-    /// LRU stamp.
-    pub stamp: u64,
-}
-
-/// Dynamic state of a [`Cache`], captured for state hashing. The shape
-/// is configuration, not state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedCache {
-    /// All tag-store lines, row-major by set.
-    pub lines: Vec<SavedLine>,
-    /// LRU clock.
-    pub tick: u64,
-    /// Hit/miss/writeback counters.
-    pub stats: CacheStats,
-}
-
 /// A physically indexed, physically tagged cache tag store.
 ///
 /// Lines are kept struct-of-arrays, row-major by set: a lookup compares
@@ -161,7 +138,7 @@ pub struct SavedCache {
 pub struct Cache {
     cfg: CacheConfig,
     /// `tag << 1 | valid` per line. Invalidation clears only the valid
-    /// bit, so a stale tag survives into saved state.
+    /// bit, so a stale tag survives into the state stream.
     keys: Vec<u64>,
     /// LRU stamps; larger = more recently used.
     stamps: Vec<u64>,
@@ -214,24 +191,22 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Captures the tag-store contents and counters as plain data.
-    pub fn save_state(&self) -> SavedCache {
-        SavedCache {
-            lines: self
-                .keys
-                .iter()
-                .zip(&self.stamps)
-                .zip(&self.dirty)
-                .map(|((&key, &stamp), &dirty)| SavedLine {
-                    tag: key >> 1,
-                    valid: key & 1 != 0,
-                    dirty,
-                    stamp,
-                })
-                .collect(),
-            tick: self.tick,
-            stats: self.stats,
+    /// Streams the tag store and counters into `h` for state hashing:
+    /// every line row-major by set (length-prefixed) as `(tag, valid,
+    /// dirty, stamp)`, then the LRU clock and the hit/miss/writeback
+    /// counters. The shape is configuration.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.keys.len() as u64);
+        for ((&key, &stamp), &dirty) in self.keys.iter().zip(&self.stamps).zip(&self.dirty) {
+            h.write_u64(key >> 1);
+            h.write_u8(u8::from(key & 1 != 0));
+            h.write_u8(u8::from(dirty));
+            h.write_u64(stamp);
         }
+        h.write_u64(self.tick);
+        h.write_u64(self.stats.hits);
+        h.write_u64(self.stats.misses);
+        h.write_u64(self.stats.writebacks);
     }
 
     /// Line-aligns an address.

@@ -13,6 +13,7 @@
 //! controller.
 
 use std::collections::VecDeque;
+use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 
@@ -152,43 +153,32 @@ pub struct ExecContext {
     misses: u64,
 }
 
-/// Dynamic state of an [`ExecContext`], captured for state hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedExecContext {
-    /// Core-local time.
-    pub now: Ps,
-    /// Instructions issued.
-    pub issued: u64,
-    /// In-flight misses as `(request id, instruction position, is_load)`.
-    pub outstanding: Vec<(u64, u64, bool)>,
-    /// Serializing load currently blocking issue, if any.
-    pub dependent_block: Option<u64>,
-    /// Cumulative memory stall time.
-    pub stall_time: Ps,
-    /// LLC misses issued.
-    pub misses: u64,
-}
-
 impl ExecContext {
     /// A fresh context at local time zero.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Captures the full context state as plain data.
-    pub fn save_state(&self) -> SavedExecContext {
-        SavedExecContext {
-            now: self.now,
-            issued: self.issued,
-            outstanding: self
-                .outstanding
-                .iter()
-                .map(|o| (o.id.0, o.pos, o.is_load))
-                .collect(),
-            dependent_block: self.dependent_block.map(|id| id.0),
-            stall_time: self.stall_time,
-            misses: self.misses,
+    /// Streams the full context state into `h` for state hashing: local
+    /// time, instructions issued, the in-flight misses as `(request id,
+    /// instruction position, is_load)` (length-prefixed), the blocking
+    /// serializing load (one tag byte, then its id), stall time and LLC
+    /// misses.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.now.as_ps());
+        h.write_u64(self.issued);
+        h.write_u64(self.outstanding.len() as u64);
+        for o in &self.outstanding {
+            h.write_u64(o.id.0);
+            h.write_u64(o.pos);
+            h.write_u8(u8::from(o.is_load));
         }
+        h.write_u8(u8::from(self.dependent_block.is_some()));
+        if let Some(id) = self.dependent_block {
+            h.write_u64(id.0);
+        }
+        h.write_u64(self.stall_time.as_ps());
+        h.write_u64(self.misses);
     }
 
     /// Core-local current time.

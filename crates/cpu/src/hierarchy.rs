@@ -1,8 +1,10 @@
 //! Two-level private cache hierarchy (L1 → L2) matching Table 1.
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{Cache, CacheConfig, CacheStats, Lookup, SavedCache};
+use crate::cache::{Cache, CacheConfig, CacheStats, Lookup};
 
 /// Where an access was satisfied.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,7 +63,7 @@ pub struct CacheHierarchy {
     stats: HierStats,
     /// Hot-line memo for [`CacheHierarchy::access`]: the last line
     /// that hit the L1 and the tag-store slot holding it. Runtime-only
-    /// acceleration state — never exported, cleared on every access
+    /// acceleration state — never hashed, cleared on every access
     /// that can move lines, so a stale slot can never be touched.
     hot: Option<(u64, usize)>,
 }
@@ -168,31 +170,40 @@ impl CacheHierarchy {
         self.l2.reset_stats();
     }
 
-    /// Captures both tag stores and the hierarchy counters as plain
-    /// data.
-    pub fn save_state(&self) -> SavedHierarchy {
-        SavedHierarchy {
-            l1: self.l1.save_state(),
-            l2: self.l2.save_state(),
-            stats: self.stats,
-        }
+    /// Streams both tag stores and the hierarchy counters into `h` for
+    /// state hashing. The lookup memo is an accelerator, not state.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        self.l1.hash_state(h);
+        self.l2.hash_state(h);
+        h.write_u64(self.stats.accesses);
+        h.write_u64(self.stats.llc_misses);
+        h.write_u64(self.stats.writebacks);
     }
-}
-
-/// Dynamic state of a [`CacheHierarchy`], captured for state hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedHierarchy {
-    /// L1 tag store.
-    pub l1: SavedCache,
-    /// L2 tag store.
-    pub l2: SavedCache,
-    /// Hierarchy-level counters.
-    pub stats: HierStats,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records a state stream as raw bytes, so two states compare byte
+    /// for byte.
+    #[derive(Default)]
+    struct Bytes(Vec<u8>);
+
+    impl Hasher for Bytes {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    fn state_bytes(h: &CacheHierarchy) -> Vec<u8> {
+        let mut b = Bytes::default();
+        h.hash_state(&mut b);
+        b.0
+    }
 
     #[test]
     fn miss_fills_both_levels() {
@@ -297,7 +308,7 @@ mod tests {
             };
             assert_eq!(r, f, "diverged at access {i} addr {addr:#x}");
         }
-        assert_eq!(reference.save_state(), fast.save_state());
+        assert_eq!(state_bytes(&reference), state_bytes(&fast));
     }
 
     #[test]

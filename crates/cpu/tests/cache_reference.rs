@@ -5,15 +5,19 @@
 //! executable specification: one `{tag, valid, dirty, stamp}` record per
 //! line and a `min_by_key` victim walk. The production `Cache` must agree
 //! with it operation for operation — same `Lookup`s, same `CacheStats`,
-//! same `SavedCache` (stale tags and dirty bits of invalidated lines
+//! same state stream (stale tags and dirty bits of invalidated lines
 //! included) — in both Table 1 shapes.
+
+use std::hash::Hasher;
 
 use proptest::prelude::*;
 
 use refsim_cpu::cache::{Cache, CacheConfig};
 
 mod reference {
-    use refsim_cpu::cache::{CacheConfig, CacheStats, Lookup, SavedCache, SavedLine};
+    use std::hash::Hasher;
+
+    use refsim_cpu::cache::{CacheConfig, CacheStats, Lookup};
 
     #[derive(Debug, Clone, Copy, Default)]
     struct Line {
@@ -58,21 +62,19 @@ mod reference {
             self.stats = CacheStats::default();
         }
 
-        pub fn save_state(&self) -> SavedCache {
-            SavedCache {
-                lines: self
-                    .lines
-                    .iter()
-                    .map(|l| SavedLine {
-                        tag: l.tag,
-                        valid: l.valid,
-                        dirty: l.dirty,
-                        stamp: l.stamp,
-                    })
-                    .collect(),
-                tick: self.tick,
-                stats: self.stats,
+        /// The production cache's state layout, written from records.
+        pub fn hash_state(&self, h: &mut dyn Hasher) {
+            h.write_u64(self.lines.len() as u64);
+            for l in &self.lines {
+                h.write_u64(l.tag);
+                h.write_u8(u8::from(l.valid));
+                h.write_u8(u8::from(l.dirty));
+                h.write_u64(l.stamp);
             }
+            h.write_u64(self.tick);
+            h.write_u64(self.stats.hits);
+            h.write_u64(self.stats.misses);
+            h.write_u64(self.stats.writebacks);
         }
 
         pub fn locate(&self, addr: u64) -> Option<usize> {
@@ -177,8 +179,28 @@ enum Op {
     LocateTouch(u64, bool),
     Probe(u64),
     ResetStats,
-    /// `save_state` of both stores, compared mid-script.
-    Save,
+    /// The state streams of both stores, compared mid-script.
+    State,
+}
+
+/// Records a state stream as raw bytes, so two states compare byte for
+/// byte.
+#[derive(Default)]
+struct Bytes(Vec<u8>);
+
+impl Hasher for Bytes {
+    fn finish(&self) -> u64 {
+        0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        self.0.extend_from_slice(bytes);
+    }
+}
+
+fn state_bytes(write: impl FnOnce(&mut dyn Hasher)) -> Vec<u8> {
+    let mut b = Bytes::default();
+    write(&mut b);
+    b.0
 }
 
 /// Ops over 24 conflicting tags in each of 8 sets, so scripts hit, evict
@@ -194,7 +216,7 @@ fn op_strategy(set_stride: u64) -> impl Strategy<Value = Op> {
                 11 | 12 => Op::LocateTouch(a, w),
                 13 => Op::Probe(a),
                 14 => Op::ResetStats,
-                _ => Op::Save,
+                _ => Op::State,
             }
         },
     )
@@ -222,13 +244,18 @@ fn run_script(cfg: CacheConfig, ops: &[Op]) {
                 soa.reset_stats();
                 aos.reset_stats();
             }
-            Op::Save => {
-                assert_eq!(soa.save_state(), aos.save_state(), "op {i}: saved state");
-            }
+            Op::State => assert_eq!(
+                state_bytes(|h| soa.hash_state(h)),
+                state_bytes(|h| aos.hash_state(h)),
+                "op {i}: state stream"
+            ),
         }
         assert_eq!(soa.stats(), aos.stats(), "op {i}: {op:?}");
     }
-    assert_eq!(soa.save_state(), aos.save_state());
+    assert_eq!(
+        state_bytes(|h| soa.hash_state(h)),
+        state_bytes(|h| aos.hash_state(h))
+    );
 }
 
 proptest! {

@@ -28,25 +28,24 @@
 //!
 //! Backends must be bit-deterministic: the same construction parameters
 //! and the same transaction sequence must produce identical statistics,
-//! completions, traces and saved state, regardless of the granularity of
+//! completions, traces and state streams, regardless of the granularity of
 //! `try_advance_to` calls used to cover the same span. The replay
 //! auditor and the differential harness in `refsim-core` both rely on
 //! this.
 
 use std::fmt;
+use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 
-use crate::controller::{
-    ControllerConfig, MemoryController, QueueFull, SavedController, TraceEntry,
-};
+use crate::controller::{ControllerConfig, MemoryController, QueueFull, TraceEntry};
 use crate::error::{ControllerSnapshot, DramError};
 use crate::geometry::{BankId, Geometry};
 use crate::integrity::{IntegrityConfig, RefreshFaults, RetentionTracker};
 use crate::mapping::AddressMapping;
 use crate::refresh::{BusyForecast, RefreshPolicyKind};
 use crate::request::{Completion, MemRequest};
-use crate::shadow::{SavedShadow, ShadowConfig, ShadowController};
+use crate::shadow::{ShadowConfig, ShadowController};
 use crate::stats::ControllerStats;
 use crate::time::Ps;
 use crate::timing::{RefreshTiming, TimingParams};
@@ -108,16 +107,6 @@ impl BackendDescriptor {
             ))
         }
     }
-}
-
-/// Portable image of a backend's full dynamic state, tagged by model so
-/// the two backends' images never hash alike.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SavedBackend {
-    /// State of a [`MemoryController`].
-    Primary(SavedController),
-    /// State of a [`ShadowController`].
-    Shadow(SavedShadow),
 }
 
 /// A per-channel DRAM timing model (see the module docs for the
@@ -230,9 +219,11 @@ pub trait MemoryBackend: fmt::Debug + Send {
     /// violation count (0 when tracking is disabled).
     fn audit_retention(&mut self, now: Ps) -> u64;
 
-    /// Captures the backend's full dynamic state as plain data, for the
-    /// replay auditor's state hashes.
-    fn save_backend(&self) -> SavedBackend;
+    /// Streams the backend's full dynamic state into `h`, for the replay
+    /// auditor's state hashes. The stream opens with a tag byte naming
+    /// the model — 0 for the primary controller, 1 for the shadow — so
+    /// the two backends' states never hash alike.
+    fn hash_state(&self, h: &mut dyn Hasher);
 }
 
 impl MemoryBackend for MemoryController {
@@ -344,8 +335,8 @@ impl MemoryBackend for MemoryController {
         MemoryController::audit_retention(self, now)
     }
 
-    fn save_backend(&self) -> SavedBackend {
-        SavedBackend::Primary(self.save_state())
+    fn hash_state(&self, h: &mut dyn Hasher) {
+        MemoryController::hash_state(self, h);
     }
 }
 

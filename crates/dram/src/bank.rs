@@ -9,6 +9,8 @@
 //! These structs implement *mechanism* only; the memory-controller policy
 //! (FR-FCFS, refresh priority) lives in [`crate::controller`].
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
 use crate::time::Ps;
@@ -26,27 +28,15 @@ pub enum BankPhase {
     Refreshing,
 }
 
-/// Dynamic state of one bank lane, captured for state hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavedBank {
-    /// Current phase.
-    pub phase: BankPhase,
-    /// Open row, if any.
-    pub open_row: Option<u32>,
-    /// Earliest next ACT.
-    pub next_act: Ps,
-    /// Earliest next PRE.
-    pub next_pre: Ps,
-    /// Earliest next column command.
-    pub next_cas: Ps,
-    /// End of the in-progress refresh.
-    pub busy_until: Ps,
-    /// Rows refreshed in the current window.
-    pub rows_refreshed: u64,
-    /// Total refresh busy time.
-    pub refresh_busy_total: Ps,
-    /// ACTs issued.
-    pub activations: u64,
+impl BankPhase {
+    /// The phase's one-byte tag in the state stream.
+    fn tag(self) -> u8 {
+        match self {
+            BankPhase::Idle => 0,
+            BankPhase::Active => 1,
+            BankPhase::Refreshing => 2,
+        }
+    }
 }
 
 /// Sentinel in [`BankLanes`]' open-row lane meaning "no row open" (real
@@ -63,9 +53,6 @@ const NO_ROW: u32 = u32::MAX;
 /// The per-lane methods mirror a one-struct-per-bank reference kept in the
 /// unit tests operation for operation (pinned by the
 /// `lanes_mirror_bank_exactly` test).
-///
-/// [`save_lane`](BankLanes::save_lane) exports one lane as a
-/// [`SavedBank`] image.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BankLanes {
     phase: Vec<BankPhase>,
@@ -269,19 +256,23 @@ impl BankLanes {
         self.refresh_busy_total[i] += trfc;
     }
 
-    /// Captures lane `i` as a [`SavedBank`] image.
-    pub fn save_lane(&self, i: usize) -> SavedBank {
-        SavedBank {
-            phase: self.phase[i],
-            open_row: self.open_row(i),
-            next_act: self.next_act[i],
-            next_pre: self.next_pre[i],
-            next_cas: self.next_cas[i],
-            busy_until: self.busy_until[i],
-            rows_refreshed: self.rows_refreshed[i],
-            refresh_busy_total: self.refresh_busy_total[i],
-            activations: self.activations[i],
+    /// Streams lane `i` into `h` for state hashing: phase tag, open row
+    /// (one tag byte, then the row), the four timing instants, rows
+    /// refreshed, refresh busy time and activations.
+    pub fn hash_lane(&self, i: usize, h: &mut dyn Hasher) {
+        h.write_u8(self.phase[i].tag());
+        let open = self.open_row(i);
+        h.write_u8(u8::from(open.is_some()));
+        if let Some(row) = open {
+            h.write_u32(row);
         }
+        h.write_u64(self.next_act[i].as_ps());
+        h.write_u64(self.next_pre[i].as_ps());
+        h.write_u64(self.next_cas[i].as_ps());
+        h.write_u64(self.busy_until[i].as_ps());
+        h.write_u64(self.rows_refreshed[i]);
+        h.write_u64(self.refresh_busy_total[i].as_ps());
+        h.write_u64(self.activations[i]);
     }
 }
 
@@ -374,34 +365,20 @@ impl RankState {
         self.refresh_busy_total += trfc;
     }
 
-    /// Captures the full rank timing state as plain data.
-    pub fn save_state(&self) -> SavedRank {
-        SavedRank {
-            recent_acts: self.recent_acts,
-            act_count: self.act_count,
-            next_act_rank: self.next_act_rank,
-            next_rd_rank: self.next_rd_rank,
-            refresh_until: self.refresh_until,
-            refresh_busy_total: self.refresh_busy_total,
+    /// Streams the full rank timing state into `h` for state hashing:
+    /// the four tFAW-window ACT times (no length prefix), the ACT count,
+    /// then the rank's next-ACT, next-RD, refresh-end and refresh-busy
+    /// instants.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        for t in self.recent_acts {
+            h.write_u64(t.as_ps());
         }
+        h.write_u64(self.act_count);
+        h.write_u64(self.next_act_rank.as_ps());
+        h.write_u64(self.next_rd_rank.as_ps());
+        h.write_u64(self.refresh_until.as_ps());
+        h.write_u64(self.refresh_busy_total.as_ps());
     }
-}
-
-/// Dynamic state of a [`RankState`], captured for state hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavedRank {
-    /// Most recent ACT times (tFAW window).
-    pub recent_acts: [Ps; 4],
-    /// Total ACTs recorded.
-    pub act_count: u64,
-    /// Earliest next ACT in the rank.
-    pub next_act_rank: Ps,
-    /// Earliest next RD in the rank.
-    pub next_rd_rank: Ps,
-    /// End of the in-progress all-bank refresh.
-    pub refresh_until: Ps,
-    /// Total all-bank refresh lockout time.
-    pub refresh_busy_total: Ps,
 }
 
 impl Default for RankState {
@@ -413,6 +390,26 @@ impl Default for RankState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Records a state stream as raw bytes, so two states compare byte
+    /// for byte.
+    #[derive(Default)]
+    struct Bytes(Vec<u8>);
+
+    impl Hasher for Bytes {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    fn lane_bytes(l: &BankLanes, i: usize) -> Vec<u8> {
+        let mut b = Bytes::default();
+        l.hash_lane(i, &mut b);
+        b.0
+    }
 
     /// The array-of-structs reference for [`BankLanes`]: the timing state
     /// of one DRAM bank, one struct per bank. Each lane method must mirror
@@ -600,19 +597,23 @@ mod tests {
             self.refresh_busy_total += trfc;
         }
 
-        /// Captures the full bank timing state as plain data.
-        pub fn save_state(&self) -> SavedBank {
-            SavedBank {
-                phase: self.phase,
-                open_row: self.open_row,
-                next_act: self.next_act,
-                next_pre: self.next_pre,
-                next_cas: self.next_cas,
-                busy_until: self.busy_until,
-                rows_refreshed: self.rows_refreshed,
-                refresh_busy_total: self.refresh_busy_total,
-                activations: self.activations,
+        /// The lane stream of [`BankLanes::hash_lane`], written from
+        /// this struct, as raw bytes.
+        pub fn state_bytes(&self) -> Vec<u8> {
+            let mut h = Bytes::default();
+            h.write_u8(self.phase.tag());
+            h.write_u8(u8::from(self.open_row.is_some()));
+            if let Some(row) = self.open_row {
+                h.write_u32(row);
             }
+            h.write_u64(self.next_act.as_ps());
+            h.write_u64(self.next_pre.as_ps());
+            h.write_u64(self.next_cas.as_ps());
+            h.write_u64(self.busy_until.as_ps());
+            h.write_u64(self.rows_refreshed);
+            h.write_u64(self.refresh_busy_total.as_ps());
+            h.write_u64(self.activations);
+            h.0
         }
     }
 
@@ -699,7 +700,7 @@ mod tests {
     fn lanes_mirror_bank_exactly() {
         // Drive a scalar Bank and one BankLanes lane through the same
         // pseudo-random legal command stream; every observable (queries,
-        // returned data-end instants, saved images) must agree at
+        // returned data-end instants, state streams) must agree at
         // every step.
         let tp = t();
         let trfc = Ps::from_ns(387);
@@ -754,10 +755,10 @@ mod tests {
                 }
                 BankPhase::Refreshing => {}
             }
-            assert_eq!(b.save_state(), l.save_lane(lane), "step {step}");
+            assert_eq!(b.state_bytes(), lane_bytes(&l, lane), "step {step}");
         }
         // Untouched lanes stayed pristine.
-        assert_eq!(l.save_lane(0), Bank::new().save_state());
+        assert_eq!(lane_bytes(&l, 0), Bank::new().state_bytes());
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //! constraint), which makes the event-driven schedule equal to the
 //! cycle-by-cycle one.
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
-use crate::bank::{BankLanes, BankPhase, RankState, SavedBank, SavedRank};
+use crate::bank::{BankLanes, BankPhase, RankState};
 use crate::error::{ControllerSnapshot, DramError};
 use crate::geometry::BankId;
-use crate::integrity::{IntegrityConfig, RefreshFaults, RetentionTracker, SavedTracker};
+use crate::integrity::{IntegrityConfig, RefreshFaults, RetentionTracker};
 use crate::mapping::AddressMapping;
 use crate::refresh::{BusyForecast, QueueSnapshot, RefreshOp, RefreshPolicy, RefreshPolicyKind};
 use crate::request::{Completion, MemRequest, ReqKind};
@@ -100,90 +102,45 @@ pub struct TraceEntry {
     pub bank: u8,
 }
 
-/// Portable image of one queued transaction (see
-/// [`MemoryController::save_state`]). The DRAM [`crate::mapping::Location`]
-/// is not stored: it is a function of `paddr` and the address mapping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavedEntry {
-    /// Requester-assigned id ([`crate::request::ReqId`] payload).
-    pub id: u64,
-    /// True for a write transaction.
-    pub write: bool,
-    /// Physical byte address.
-    pub paddr: u64,
-    /// Queue-entry arrival instant.
-    pub arrival: Ps,
-    /// Originating core.
-    pub core: u8,
-    /// Originating task.
-    pub task: u32,
-    /// The request has needed an ACT so far (row miss).
-    pub needed_act: bool,
-    /// The request has needed a PRE first (row conflict).
-    pub needed_pre: bool,
-    /// The request was delayed by refresh at some point.
-    pub refresh_blocked: bool,
+/// Streams one queued transaction into `h`: id, write flag, physical
+/// address, arrival, core, task, then the row-miss, row-conflict and
+/// refresh-blocked flags. The DRAM location is not streamed: it is a
+/// function of the address and the mapping.
+pub(crate) fn hash_entry(
+    h: &mut dyn Hasher,
+    req: &MemRequest,
+    needed_act: bool,
+    needed_pre: bool,
+    refresh_blocked: bool,
+) {
+    h.write_u64(req.id.0);
+    h.write_u8(u8::from(!req.is_read()));
+    h.write_u64(req.paddr);
+    h.write_u64(req.arrival.as_ps());
+    h.write_u8(req.core);
+    h.write_u32(req.task);
+    h.write_u8(u8::from(needed_act));
+    h.write_u8(u8::from(needed_pre));
+    h.write_u8(u8::from(refresh_blocked));
 }
 
-/// Portable image of a refresh that was due but not yet issued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavedPendingRefresh {
-    /// The selected refresh command.
-    pub op: RefreshOp,
-    /// The policy's scheduled due instant.
-    pub due: Ps,
-    /// Extra issue delay injected by the active fault plan.
-    pub injected_delay: Ps,
+/// Streams undrained read completions (length-prefixed) into `h`, each
+/// as `(id, at, latency)`.
+pub(crate) fn hash_completions(h: &mut dyn Hasher, completions: &[Completion]) {
+    h.write_u64(completions.len() as u64);
+    for c in completions {
+        h.write_u64(c.id.0);
+        h.write_u64(c.at.as_ps());
+        h.write_u64(c.latency.as_ps());
+    }
 }
 
-/// Portable image of the full dynamic state of a [`MemoryController`],
-/// produced by [`MemoryController::save_state`].
-///
-/// Captures everything that determines the controller's future:
-/// bank/rank timing state, both transaction queues, bus bookkeeping,
-/// the in-flight refresh, utilization-epoch accumulators, undrained
-/// completions, statistics, the retention-oracle ledger, and the refresh
-/// policy's internal schedule (as opaque words). Deliberately *not*
-/// captured: the command trace buffer (diagnostic only) and the fault
-/// plan / configuration (inputs, not state).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SavedController {
-    /// Per-bank state, flat-indexed.
-    pub banks: Vec<SavedBank>,
-    /// Per-rank state.
-    pub ranks: Vec<SavedRank>,
-    /// Read queue entries, in queue order.
-    pub read_q: Vec<SavedEntry>,
-    /// Write queue entries, in queue order.
-    pub write_q: Vec<SavedEntry>,
-    /// Whether the controller is in write-drain mode.
-    pub draining: bool,
-    /// The event cursor.
-    pub cursor: Ps,
-    /// Command bus free instant.
-    pub cmd_bus_free: Ps,
-    /// Data bus free instant.
-    pub data_bus_free: Ps,
-    /// Rank owning the last data-bus transfer.
-    pub data_bus_owner: Option<u8>,
-    /// Refresh awaiting its scope to go idle, if any.
-    pub pending_refresh: Option<SavedPendingRefresh>,
-    /// Start of the current utilization epoch.
-    pub epoch_start: Ps,
-    /// Bus-busy time accumulated in the current epoch.
-    pub epoch_bus_busy: Ps,
-    /// Utilization reported for the previous epoch.
-    pub last_utilization: f64,
-    /// Read completions produced but not yet drained.
-    pub completions: Vec<Completion>,
-    /// Statistics accumulated so far.
-    pub stats: ControllerStats,
-    /// Retention-oracle ledger (present iff tracking was enabled).
-    pub integrity: Option<SavedTracker>,
-    /// Global refresh command sequence number.
-    pub refresh_seq: u64,
-    /// Refresh policy internal schedule, in the policy's own word format.
-    pub policy_words: Vec<u64>,
+/// Streams a refresh policy's schedule words (length-prefixed) into `h`.
+pub(crate) fn hash_words(h: &mut dyn Hasher, words: &[u64]) {
+    h.write_u64(words.len() as u64);
+    for &w in words {
+        h.write_u64(w);
+    }
 }
 
 /// A queued transaction plus scheduling bookkeeping.
@@ -754,46 +711,61 @@ impl MemoryController {
         Ok(None)
     }
 
-    /// Captures the controller's full dynamic state as plain data, for
-    /// the replay auditor's state hashes.
-    pub fn save_state(&self) -> SavedController {
-        let save_entry = |e: &Entry| SavedEntry {
-            id: e.req.id.0,
-            write: !e.req.is_read(),
-            paddr: e.req.paddr,
-            arrival: e.req.arrival,
-            core: e.req.core,
-            task: e.req.task,
-            needed_act: e.needed_act,
-            needed_pre: e.needed_pre,
-            refresh_blocked: e.refresh_blocked,
-        };
-        SavedController {
-            banks: (0..self.lanes.len())
-                .map(|f| self.lanes.save_lane(f))
-                .collect(),
-            ranks: self.ranks.iter().map(RankState::save_state).collect(),
-            read_q: self.read_q.iter().map(save_entry).collect(),
-            write_q: self.write_q.iter().map(save_entry).collect(),
-            draining: self.draining,
-            cursor: self.cursor,
-            cmd_bus_free: self.cmd_bus_free,
-            data_bus_free: self.data_bus_free,
-            data_bus_owner: self.data_bus_owner,
-            pending_refresh: self.pending_refresh.as_ref().map(|p| SavedPendingRefresh {
-                op: p.op,
-                due: p.due,
-                injected_delay: p.injected_delay,
-            }),
-            epoch_start: self.epoch_start,
-            epoch_bus_busy: self.epoch_bus_busy,
-            last_utilization: self.last_utilization,
-            completions: self.completions.clone(),
-            stats: self.stats.clone(),
-            integrity: self.integrity.as_ref().map(RetentionTracker::save_state),
-            refresh_seq: self.refresh_seq,
-            policy_words: self.policy.save_words(),
+    /// Streams the controller's full dynamic state into `h`, for the
+    /// replay auditor's state hashes. The stream opens with the backend
+    /// tag 0, so it never hashes like the shadow model's.
+    ///
+    /// Covered is everything that determines the controller's future,
+    /// in this order, every sequence length-prefixed and every option a
+    /// tag byte: the bank lanes (flat-indexed) and ranks, both
+    /// transaction queues in queue order, the drain flag, cursor and bus
+    /// bookkeeping, the pending refresh, the utilization-epoch
+    /// accumulators, undrained completions, statistics, the retention
+    /// ledger, the refresh sequence number and the refresh policy's
+    /// schedule words. Deliberately *not* covered: the command trace
+    /// buffer (diagnostic only), the plan memo (derived), and the fault
+    /// plan and configuration (inputs, not state).
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u8(0);
+        h.write_u64(self.lanes.len() as u64);
+        for f in 0..self.lanes.len() {
+            self.lanes.hash_lane(f, h);
         }
+        h.write_u64(self.ranks.len() as u64);
+        for r in &self.ranks {
+            r.hash_state(h);
+        }
+        for q in [&self.read_q, &self.write_q] {
+            h.write_u64(q.len() as u64);
+            for e in q {
+                hash_entry(h, &e.req, e.needed_act, e.needed_pre, e.refresh_blocked);
+            }
+        }
+        h.write_u8(u8::from(self.draining));
+        h.write_u64(self.cursor.as_ps());
+        h.write_u64(self.cmd_bus_free.as_ps());
+        h.write_u64(self.data_bus_free.as_ps());
+        h.write_u8(u8::from(self.data_bus_owner.is_some()));
+        if let Some(rank) = self.data_bus_owner {
+            h.write_u8(rank);
+        }
+        h.write_u8(u8::from(self.pending_refresh.is_some()));
+        if let Some(p) = &self.pending_refresh {
+            p.op.hash_state(h);
+            h.write_u64(p.due.as_ps());
+            h.write_u64(p.injected_delay.as_ps());
+        }
+        h.write_u64(self.epoch_start.as_ps());
+        h.write_u64(self.epoch_bus_busy.as_ps());
+        h.write_u64(self.last_utilization.to_bits());
+        hash_completions(h, &self.completions);
+        self.stats.hash_state(h);
+        h.write_u8(u8::from(self.integrity.is_some()));
+        if let Some(t) = &self.integrity {
+            t.hash_state(h);
+        }
+        h.write_u64(self.refresh_seq);
+        hash_words(h, &self.policy.save_words());
     }
 
     // ---- internals ----------------------------------------------------

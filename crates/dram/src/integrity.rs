@@ -26,6 +26,7 @@
 //! a sharper oracle pass an explicit [`IntegrityConfig::slack`].
 
 use std::collections::VecDeque;
+use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 
@@ -386,48 +387,44 @@ impl RetentionTracker {
         self.total == 0
     }
 
-    /// Captures the sweep ledger, weak-row clocks, and violation record
-    /// as plain data.
-    pub fn save_state(&self) -> SavedTracker {
-        SavedTracker {
-            banks: self
-                .banks
-                .iter()
-                .map(|b| SavedBankTrack {
-                    cursor: b.cursor,
-                    spans: b.spans.iter().map(|s| (s.start, s.end, s.at)).collect(),
-                })
-                .collect(),
-            weak_last: self.weak.iter().map(|&(_, last)| last).collect(),
-            violations: self.violations.clone(),
-            total: self.total,
+    /// Streams the sweep ledger, weak-row clocks and violation record
+    /// into `h` for state hashing, each sequence length-prefixed: per
+    /// bank the sweep cursor and the span ring front-to-back as
+    /// `(row_start, row_end, last_refresh)`; the last-refresh instant of
+    /// each weak row in registration order; the detailed violations;
+    /// the total count. The config and weak-row definitions are
+    /// configuration.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.banks.len() as u64);
+        for b in &self.banks {
+            h.write_u32(b.cursor);
+            h.write_u64(b.spans.len() as u64);
+            for s in &b.spans {
+                h.write_u32(s.start);
+                h.write_u32(s.end);
+                h.write_u64(s.at.as_ps());
+            }
         }
+        h.write_u64(self.weak.len() as u64);
+        for &(_, last) in &self.weak {
+            h.write_u64(last.as_ps());
+        }
+        h.write_u64(self.violations.len() as u64);
+        for v in &self.violations {
+            h.write_u8(match v.kind {
+                ViolationKind::LateRefresh => 0,
+                ViolationKind::StaleAtEnd => 1,
+                ViolationKind::WeakRow => 2,
+            });
+            h.write_u32(v.flat_bank);
+            h.write_u32(v.row_start);
+            h.write_u32(v.row_end);
+            h.write_u64(v.interval.as_ps());
+            h.write_u64(v.limit.as_ps());
+            h.write_u64(v.at.as_ps());
+        }
+        h.write_u64(self.total);
     }
-}
-
-/// Per-bank sweep state of a [`RetentionTracker`], captured for state
-/// hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedBankTrack {
-    /// Sweep cursor (next row to refresh).
-    pub cursor: u32,
-    /// Span ring as `(row_start, row_end, last_refresh)` front-to-back.
-    pub spans: Vec<(u32, u32, Ps)>,
-}
-
-/// Dynamic state of a [`RetentionTracker`], captured for state hashing.
-/// The config and weak-row definitions are configuration, not state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedTracker {
-    /// Per-bank sweep ledgers.
-    pub banks: Vec<SavedBankTrack>,
-    /// Last-refresh instant per registered weak row, in registration
-    /// order.
-    pub weak_last: Vec<Ps>,
-    /// Detailed violations recorded so far.
-    pub violations: Vec<RetentionViolation>,
-    /// Total violations including beyond the detail cap.
-    pub total: u64,
 }
 
 #[cfg(test)]

@@ -64,9 +64,7 @@ pub mod timing;
 
 /// Convenient glob-import of the crate's commonly used types.
 pub mod prelude {
-    pub use crate::backend::{
-        build_backend, BackendDescriptor, BackendKind, MemoryBackend, SavedBackend,
-    };
+    pub use crate::backend::{build_backend, BackendDescriptor, BackendKind, MemoryBackend};
     pub use crate::controller::{ControllerConfig, MemoryController, QueueFull};
     pub use crate::error::{ControllerSnapshot, DramError};
     pub use crate::geometry::{BankId, Geometry, Location};
@@ -78,7 +76,7 @@ pub mod prelude {
     pub use crate::power::{energy, EnergyBreakdown, PowerParams};
     pub use crate::refresh::{BusyForecast, RefreshPolicyKind};
     pub use crate::request::{Completion, MemRequest, ReqId, ReqKind};
-    pub use crate::shadow::{SavedShadow, ShadowConfig, ShadowController};
+    pub use crate::shadow::{ShadowConfig, ShadowController};
     pub use crate::stats::ControllerStats;
     pub use crate::time::Ps;
     pub use crate::timing::{Density, FgrMode, RefreshTiming, Retention, TimingParams};

@@ -32,6 +32,7 @@ pub use ooo::OooPerBank;
 pub use per_bank::{PerBankRoundRobin, PerBankSequential};
 
 use std::fmt;
+use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 
@@ -60,6 +61,25 @@ pub enum RefreshOp {
 }
 
 impl RefreshOp {
+    /// Streams the op into `h` for state hashing: a tag byte (0
+    /// all-bank, 1 per-bank), the target rank (and bank), then the rows
+    /// covered.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        match *self {
+            RefreshOp::AllBank { rank, rows } => {
+                h.write_u8(0);
+                h.write_u8(rank);
+                h.write_u32(rows);
+            }
+            RefreshOp::PerBank { bank, rows } => {
+                h.write_u8(1);
+                h.write_u8(bank.rank);
+                h.write_u8(bank.bank);
+                h.write_u32(rows);
+            }
+        }
+    }
+
     /// The rank this op targets.
     pub fn rank(&self) -> u8 {
         match *self {

@@ -36,15 +36,17 @@
 //! It exists to prove the differential harness catches a buggy model;
 //! runs with the knob set are never cached.
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{BackendDescriptor, BackendKind, MemoryBackend, SavedBackend};
+use crate::backend::{BackendDescriptor, BackendKind, MemoryBackend};
 use crate::controller::{
-    ControllerConfig, QueueFull, SavedEntry, SavedPendingRefresh, TraceCmd, TraceEntry,
+    hash_completions, hash_entry, hash_words, ControllerConfig, QueueFull, TraceCmd, TraceEntry,
 };
 use crate::error::{ControllerSnapshot, DramError};
 use crate::geometry::BankId;
-use crate::integrity::{IntegrityConfig, RefreshFaults, RetentionTracker, SavedTracker};
+use crate::integrity::{IntegrityConfig, RefreshFaults, RetentionTracker};
 use crate::mapping::AddressMapping;
 use crate::refresh::{BusyForecast, QueueSnapshot, RefreshOp, RefreshPolicy, RefreshPolicyKind};
 use crate::request::{Completion, MemRequest, ReqKind};
@@ -261,85 +263,6 @@ enum ShadowAction {
     IssueRefresh,
     /// Service one queued transaction as an atomic chain.
     Service { write_queue: bool, idx: usize },
-}
-
-/// Portable image of the full dynamic state of a [`ShadowController`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SavedShadow {
-    /// Per-bank records, flat-indexed: `(open_row_plus_one, last_act,
-    /// ready_act, ready_cas, ready_pre, refresh_until, last_cmd,
-    /// rows_refreshed, activations, refresh_busy)`.
-    pub banks: Vec<SavedShadowBank>,
-    /// Per-rank records.
-    pub ranks: Vec<SavedShadowRank>,
-    /// Read queue entries, in queue order.
-    pub read_q: Vec<SavedEntry>,
-    /// Write queue entries, in queue order.
-    pub write_q: Vec<SavedEntry>,
-    /// Whether the model is in write-drain mode.
-    pub draining: bool,
-    /// The event cursor.
-    pub cursor: Ps,
-    /// Data bus free instant.
-    pub data_bus_free: Ps,
-    /// Rank owning the last data-bus transfer.
-    pub data_bus_owner: Option<u8>,
-    /// Refresh awaiting its scope, if any.
-    pub pending_refresh: Option<SavedPendingRefresh>,
-    /// Start of the current utilization epoch.
-    pub epoch_start: Ps,
-    /// Bus-busy time accumulated in the current epoch.
-    pub epoch_bus_busy: Ps,
-    /// Utilization reported for the previous epoch.
-    pub last_utilization: f64,
-    /// Read completions produced but not yet drained.
-    pub completions: Vec<Completion>,
-    /// Statistics accumulated so far.
-    pub stats: ControllerStats,
-    /// Retention-oracle ledger (present iff tracking was enabled).
-    pub integrity: Option<SavedTracker>,
-    /// Global refresh command sequence number.
-    pub refresh_seq: u64,
-    /// Refresh policy internal schedule words.
-    pub policy_words: Vec<u64>,
-}
-
-/// Portable image of one [`ShadowController`] bank record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavedShadowBank {
-    /// Open row, if any.
-    pub open_row: Option<u32>,
-    /// Instant of the last ACT.
-    pub last_act: Ps,
-    /// Earliest ACT instant.
-    pub ready_act: Ps,
-    /// Earliest CAS instant.
-    pub ready_cas: Ps,
-    /// Earliest PRE instant.
-    pub ready_pre: Ps,
-    /// End of the current refresh window.
-    pub refresh_until: Ps,
-    /// Instant of the last issued command.
-    pub last_cmd: Ps,
-    /// Rows refreshed so far.
-    pub rows_refreshed: u64,
-    /// ACT commands so far.
-    pub activations: u64,
-    /// Cumulative refresh-window time.
-    pub refresh_busy: Ps,
-}
-
-/// Portable image of one [`ShadowController`] rank record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SavedShadowRank {
-    /// Ring of the last four ACT instants.
-    pub acts: [Ps; 4],
-    /// Next ring slot.
-    pub act_pos: u8,
-    /// Earliest read-CAS instant.
-    pub read_ready: Ps,
-    /// End of the current all-bank refresh window.
-    pub refresh_until: Ps,
 }
 
 /// The shadow per-channel DRAM model (see the module docs).
@@ -927,67 +850,75 @@ impl ShadowController {
         }
     }
 
-    /// Captures the shadow's full dynamic state as plain data, for the
-    /// replay auditor's state hashes.
-    pub fn save_state(&self) -> SavedShadow {
-        let save_entry = |e: &ShadowEntry| SavedEntry {
-            id: e.req.id.0,
-            write: !e.req.is_read(),
-            paddr: e.req.paddr,
-            arrival: e.req.arrival,
-            core: e.req.core,
-            task: e.req.task,
-            needed_act: false,
-            needed_pre: false,
-            refresh_blocked: e.refresh_blocked,
-        };
-        SavedShadow {
-            banks: self
-                .banks
-                .iter()
-                .map(|b| SavedShadowBank {
-                    open_row: b.open_row,
-                    last_act: b.last_act,
-                    ready_act: b.ready_act,
-                    ready_cas: b.ready_cas,
-                    ready_pre: b.ready_pre,
-                    refresh_until: b.refresh_until,
-                    last_cmd: b.last_cmd,
-                    rows_refreshed: b.rows_refreshed,
-                    activations: b.activations,
-                    refresh_busy: b.refresh_busy,
-                })
-                .collect(),
-            ranks: self
-                .ranks
-                .iter()
-                .map(|r| SavedShadowRank {
-                    acts: r.acts,
-                    act_pos: r.act_pos,
-                    read_ready: r.read_ready,
-                    refresh_until: r.refresh_until,
-                })
-                .collect(),
-            read_q: self.read_q.iter().map(save_entry).collect(),
-            write_q: self.write_q.iter().map(save_entry).collect(),
-            draining: self.draining,
-            cursor: self.cursor,
-            data_bus_free: self.data_bus_free,
-            data_bus_owner: self.data_bus_owner,
-            pending_refresh: self.pending_refresh.as_ref().map(|p| SavedPendingRefresh {
-                op: p.op,
-                due: p.due,
-                injected_delay: p.injected_delay,
-            }),
-            epoch_start: self.epoch_start,
-            epoch_bus_busy: self.epoch_bus_busy,
-            last_utilization: self.last_utilization,
-            completions: self.completions.clone(),
-            stats: self.stats.clone(),
-            integrity: self.integrity.as_ref().map(RetentionTracker::save_state),
-            refresh_seq: self.refresh_seq,
-            policy_words: self.policy.save_words(),
+    /// Streams the shadow's full dynamic state into `h`, for the replay
+    /// auditor's state hashes. The stream opens with the backend tag 1,
+    /// so it never hashes like the primary controller's; it then follows
+    /// [`MemoryController::hash_state`]'s order with the shadow's own
+    /// bank and rank records, queue entries whose row-miss and
+    /// row-conflict flags are always false, and no command-bus instant.
+    ///
+    /// [`MemoryController::hash_state`]: crate::controller::MemoryController::hash_state
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u8(1);
+        h.write_u64(self.banks.len() as u64);
+        for b in &self.banks {
+            h.write_u8(u8::from(b.open_row.is_some()));
+            if let Some(row) = b.open_row {
+                h.write_u32(row);
+            }
+            for t in [
+                b.last_act,
+                b.ready_act,
+                b.ready_cas,
+                b.ready_pre,
+                b.refresh_until,
+                b.last_cmd,
+            ] {
+                h.write_u64(t.as_ps());
+            }
+            h.write_u64(b.rows_refreshed);
+            h.write_u64(b.activations);
+            h.write_u64(b.refresh_busy.as_ps());
         }
+        h.write_u64(self.ranks.len() as u64);
+        for r in &self.ranks {
+            for t in r.acts {
+                h.write_u64(t.as_ps());
+            }
+            h.write_u8(r.act_pos);
+            h.write_u64(r.read_ready.as_ps());
+            h.write_u64(r.refresh_until.as_ps());
+        }
+        for q in [&self.read_q, &self.write_q] {
+            h.write_u64(q.len() as u64);
+            for e in q {
+                hash_entry(h, &e.req, false, false, e.refresh_blocked);
+            }
+        }
+        h.write_u8(u8::from(self.draining));
+        h.write_u64(self.cursor.as_ps());
+        h.write_u64(self.data_bus_free.as_ps());
+        h.write_u8(u8::from(self.data_bus_owner.is_some()));
+        if let Some(rank) = self.data_bus_owner {
+            h.write_u8(rank);
+        }
+        h.write_u8(u8::from(self.pending_refresh.is_some()));
+        if let Some(p) = &self.pending_refresh {
+            p.op.hash_state(h);
+            h.write_u64(p.due.as_ps());
+            h.write_u64(p.injected_delay.as_ps());
+        }
+        h.write_u64(self.epoch_start.as_ps());
+        h.write_u64(self.epoch_bus_busy.as_ps());
+        h.write_u64(self.last_utilization.to_bits());
+        hash_completions(h, &self.completions);
+        self.stats.hash_state(h);
+        h.write_u8(u8::from(self.integrity.is_some()));
+        if let Some(t) = &self.integrity {
+            t.hash_state(h);
+        }
+        h.write_u64(self.refresh_seq);
+        hash_words(h, &self.policy.save_words());
     }
 }
 
@@ -1176,8 +1107,8 @@ impl MemoryBackend for ShadowController {
         }
     }
 
-    fn save_backend(&self) -> SavedBackend {
-        SavedBackend::Shadow(self.save_state())
+    fn hash_state(&self, h: &mut dyn Hasher) {
+        ShadowController::hash_state(self, h);
     }
 }
 

@@ -1,5 +1,7 @@
 //! Memory-controller statistics.
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
 use crate::time::Ps;
@@ -65,6 +67,33 @@ impl ControllerStats {
     /// Fresh, all-zero stats.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Streams every counter, in declaration order, into `h` for state
+    /// hashing.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.reads_enqueued);
+        h.write_u64(self.writes_enqueued);
+        h.write_u64(self.reads_completed);
+        h.write_u64(self.writes_completed);
+        h.write_u64(self.forwarded_reads);
+        h.write_u64(self.row_hits);
+        h.write_u64(self.row_misses);
+        h.write_u64(self.row_conflicts);
+        h.write_u64(self.refreshes_ab);
+        h.write_u64(self.refreshes_pb);
+        h.write_u64(self.refresh_postpone_total.as_ps());
+        h.write_u64(self.refresh_postpone_max.as_ps());
+        h.write_u64(self.read_latency_total.as_ps());
+        h.write_u64(self.read_latency_max.as_ps());
+        h.write_u64(self.refresh_blocked_reads);
+        h.write_u64(self.data_bus_busy.as_ps());
+        h.write_u64(self.queue_reject_reads);
+        h.write_u64(self.queue_reject_writes);
+        h.write_u64(self.write_drains);
+        h.write_u64(self.retention_violations);
+        h.write_u64(self.injected_skip_faults);
+        h.write_u64(self.injected_delay_faults);
     }
 
     /// Zeroes every counter (measurement-phase boundary).

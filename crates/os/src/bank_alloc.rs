@@ -7,12 +7,14 @@
 //! consecutive allocations round-robin over the permitted banks to
 //! preserve bank-level parallelism (§5.2.1).
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
 use refsim_dram::geometry::BankId;
 use refsim_dram::mapping::AddressMapping;
 
-use crate::buddy::{BuddyAllocator, Frame, OutOfMemory, SavedBuddy};
+use crate::buddy::{BuddyAllocator, Frame, OutOfMemory};
 
 /// Page size: 4 KiB (the paper excludes large pages, footnote 9).
 pub const PAGE_BYTES: u64 = 4096;
@@ -346,28 +348,23 @@ impl BankAwareAllocator {
         None
     }
 
-    /// Captures the buddy allocator, per-bank caches, and counters as
-    /// plain data. The mapping is configuration.
-    pub fn save_state(&self) -> SavedBankAlloc {
-        SavedBankAlloc {
-            buddy: self.buddy.save_state(),
-            per_bank_free: self.per_bank_free.clone(),
-            stats: self.stats,
+    /// Streams the buddy allocator, the per-bank cached free frames
+    /// (stack order, each list length-prefixed) and the counters into
+    /// `h` for state hashing. The mapping is configuration.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        self.buddy.hash_state(h);
+        h.write_u64(self.per_bank_free.len() as u64);
+        for list in &self.per_bank_free {
+            h.write_u64(list.len() as u64);
+            for &f in list {
+                h.write_u64(f);
+            }
         }
+        h.write_u64(self.stats.allocations);
+        h.write_u64(self.stats.cache_hits);
+        h.write_u64(self.stats.pulls);
+        h.write_u64(self.stats.fallbacks);
     }
-}
-
-/// Dynamic state of a [`BankAwareAllocator`], captured for state
-/// hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedBankAlloc {
-    /// Underlying buddy allocator state.
-    pub buddy: SavedBuddy,
-    /// Per-global-bank cached free frames (stack order preserved —
-    /// allocation pops from the back).
-    pub per_bank_free: Vec<Vec<Frame>>,
-    /// Allocator counters.
-    pub stats: BankAllocStats,
 }
 
 #[cfg(test)]

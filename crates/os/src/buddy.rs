@@ -2,6 +2,7 @@
 //! machinery the paper's Algorithm 2 extends).
 
 use std::collections::BTreeSet;
+use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 
@@ -217,32 +218,22 @@ impl BuddyAllocator {
         None
     }
 
-    /// Captures the full allocator state as plain data.
-    pub fn save_state(&self) -> SavedBuddy {
-        SavedBuddy {
-            frames: self.frames,
-            free_frames: self.free_frames,
-            free_lists: self
-                .free_lists
-                .iter()
-                .map(|s| s.iter().copied().collect())
-                .collect(),
-            alloc_map: self.alloc_map.clone(),
+    /// Streams the full allocator state into `h` for state hashing: the
+    /// frame counts, the free block start frames per order (ascending,
+    /// each list length-prefixed) and the per-frame allocation records.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.frames);
+        h.write_u64(self.free_frames);
+        h.write_u64(self.free_lists.len() as u64);
+        for list in &self.free_lists {
+            h.write_u64(list.len() as u64);
+            for &f in list {
+                h.write_u64(f);
+            }
         }
+        h.write_u64(self.alloc_map.len() as u64);
+        h.write(&self.alloc_map);
     }
-}
-
-/// Dynamic state of a [`BuddyAllocator`], captured for state hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedBuddy {
-    /// Total managed frames.
-    pub frames: u64,
-    /// Currently free frames.
-    pub free_frames: u64,
-    /// Free block start frames per order, ascending.
-    pub free_lists: Vec<Vec<Frame>>,
-    /// Per-frame allocation records.
-    pub alloc_map: Vec<u8>,
 }
 
 #[cfg(test)]

@@ -5,6 +5,7 @@
 //! iteration from the leftmost task).
 
 use std::collections::BTreeSet;
+use std::hash::Hasher;
 
 use serde::{Deserialize, Serialize};
 
@@ -103,22 +104,17 @@ impl CfsRunqueue {
         self.tree.iter().copied()
     }
 
-    /// Captures the queue contents and `min_vruntime` as plain data.
-    pub fn save_state(&self) -> SavedRunqueue {
-        SavedRunqueue {
-            entries: self.iter().collect(),
-            min_vruntime: self.min_vruntime,
+    /// Streams the queued `(vruntime, task)` pairs in tree order
+    /// (length-prefixed) and the `min_vruntime` floor into `h` for state
+    /// hashing.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.tree.len() as u64);
+        for &(v, id) in &self.tree {
+            h.write_u64(v.as_ps());
+            h.write_u32(id.0);
         }
+        h.write_u64(self.min_vruntime.as_ps());
     }
-}
-
-/// Dynamic state of a [`CfsRunqueue`], captured for state hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedRunqueue {
-    /// Queued `(vruntime, task)` pairs in tree order.
-    pub entries: Vec<(Ps, TaskId)>,
-    /// The monotonic `min_vruntime` floor at capture time.
-    pub min_vruntime: Ps,
 }
 
 #[cfg(test)]

@@ -1,12 +1,14 @@
 //! The process scheduler: baseline CFS and the paper's refresh-aware
 //! `pick_next_task` (Algorithm 3).
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
 use refsim_dram::time::Ps;
 
 use crate::bank_alloc::BankVector;
-use crate::cfs::{CfsRunqueue, SavedRunqueue};
+use crate::cfs::CfsRunqueue;
 use crate::task::{Task, TaskId, TaskState};
 
 /// Scheduling policy.
@@ -54,6 +56,17 @@ pub struct SchedStats {
     pub eta_fallbacks: u64,
     /// Tasks migrated by the load balancer.
     pub migrations: u64,
+}
+
+impl SchedStats {
+    /// Streams the four counters, in declaration order, into `h` for
+    /// state hashing.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.picks);
+        h.write_u64(self.refresh_dodges);
+        h.write_u64(self.eta_fallbacks);
+        h.write_u64(self.migrations);
+    }
 }
 
 /// Per-CPU-runqueue process scheduler.
@@ -261,23 +274,16 @@ impl Scheduler {
         moved
     }
 
-    /// Captures the runqueues and counters as plain data. The policy and
-    /// timeslice are configuration.
-    pub fn save_state(&self) -> SavedScheduler {
-        SavedScheduler {
-            queues: self.queues.iter().map(CfsRunqueue::save_state).collect(),
-            stats: self.stats,
+    /// Streams the per-CPU runqueues (length-prefixed) and the counters
+    /// into `h` for state hashing. The policy and timeslice are
+    /// configuration.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.queues.len() as u64);
+        for q in &self.queues {
+            q.hash_state(h);
         }
+        self.stats.hash_state(h);
     }
-}
-
-/// Dynamic state of a [`Scheduler`], captured for state hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedScheduler {
-    /// Per-CPU runqueues.
-    pub queues: Vec<SavedRunqueue>,
-    /// Scheduler counters.
-    pub stats: SchedStats,
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Task control blocks.
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
 use refsim_dram::time::Ps;
@@ -120,6 +122,31 @@ impl Task {
     /// task dodges the quantum only if it dodges every busy bank.
     pub fn avoids_banks(&self, banks: BankVector) -> bool {
         self.possible_banks.bits() & banks.bits() == 0 && self.bytes_on_banks(banks) == 0
+    }
+
+    /// Streams the task's dynamic state into `h` for state hashing:
+    /// vruntime, scheduling state (0 runnable, 1 running, 2 blocked),
+    /// CPU, permitted banks as bits, allocation cursor, address space,
+    /// bytes per bank (length-prefixed), spilled pages, CPU time and
+    /// schedules. The id and label come from the mix, not state.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.vruntime.as_ps());
+        h.write_u8(match self.state {
+            TaskState::Runnable => 0,
+            TaskState::Running => 1,
+            TaskState::Blocked => 2,
+        });
+        h.write_u32(self.cpu);
+        h.write_u64(self.possible_banks.bits());
+        h.write_u32(self.last_alloced_bank);
+        self.mm.hash_state(h);
+        h.write_u64(self.bytes_per_bank.len() as u64);
+        for &b in &self.bytes_per_bank {
+            h.write_u64(b);
+        }
+        h.write_u64(self.spilled_pages);
+        h.write_u64(self.cpu_time.as_ps());
+        h.write_u64(self.schedules);
     }
 }
 

@@ -1,5 +1,7 @@
 //! Per-task virtual memory: demand-paged page tables.
 
+use std::hash::Hasher;
+
 use serde::{Deserialize, Serialize};
 
 use crate::bank_alloc::PAGE_BYTES;
@@ -195,25 +197,20 @@ impl AddressSpace {
         std::mem::size_of_val(self.page_table.slots.as_slice())
     }
 
-    /// Captures the page table (sorted by VPN) and fault counter as plain
-    /// data.
-    pub fn save_state(&self) -> SavedAddressSpace {
+    /// Streams the `(vpn, frame)` mappings sorted by VPN
+    /// (length-prefixed) and the fault counter into `h` for state
+    /// hashing. Sorting makes the stream independent of the table's
+    /// slot layout.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
         let mut pages: Vec<(u64, Frame)> = self.mappings().collect();
         pages.sort_unstable();
-        SavedAddressSpace {
-            pages,
-            faults: self.faults,
+        h.write_u64(pages.len() as u64);
+        for (vpn, frame) in pages {
+            h.write_u64(vpn);
+            h.write_u64(frame);
         }
+        h.write_u64(self.faults);
     }
-}
-
-/// Dynamic state of an [`AddressSpace`], captured for state hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedAddressSpace {
-    /// `(vpn, frame)` mappings sorted by VPN.
-    pub pages: Vec<(u64, Frame)>,
-    /// Demand faults taken.
-    pub faults: u64,
 }
 
 #[cfg(test)]

@@ -353,7 +353,9 @@ proptest! {
             prop_assert_eq!(listed, model.iter().map(|(&v, &f)| (v, f)).collect::<BTreeMap<_, _>>());
         }
         let sorted: Vec<(u64, u64)> = model.into_iter().collect::<BTreeMap<_, _>>().into_iter().collect();
-        prop_assert_eq!(mm.save_state().pages, sorted);
+        let mut pages: Vec<(u64, u64)> = mm.mappings().collect();
+        pages.sort_unstable();
+        prop_assert_eq!(pages, sorted);
     }
 }
 

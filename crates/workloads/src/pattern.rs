@@ -7,6 +7,8 @@
 //! stencils (GemsFDTD), uniform-random and pointer-chasing irregular
 //! access (mcf), and cache-resident compute (povray, h264ref).
 
+use std::hash::Hasher;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -39,15 +41,6 @@ pub enum PatternKind {
     /// Uniform-random *dependent* loads (each must return before the
     /// next issues) — pointer chasing.
     PointerChase,
-}
-
-/// Dynamic state of a [`PatternState`], captured for state hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedPattern {
-    /// Per-stream cursors (empty for random/pointer-chase kinds).
-    pub cursors: Vec<u64>,
-    /// Round-robin stream index.
-    pub next_stream: u64,
 }
 
 /// Stateful generator for one [`PatternKind`] over a region of `size`
@@ -94,13 +87,15 @@ impl PatternState {
         self.kind
     }
 
-    /// Captures the dynamic cursor state as plain data. The kind and size
-    /// are configuration.
-    pub fn save_state(&self) -> SavedPattern {
-        SavedPattern {
-            cursors: self.cursors.clone(),
-            next_stream: self.next_stream as u64,
+    /// Streams the dynamic cursor state into `h` for state hashing: the
+    /// per-stream cursors (length-prefixed), then the round-robin index.
+    /// The kind and size are configuration.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.cursors.len() as u64);
+        for &c in &self.cursors {
+            h.write_u64(c);
         }
+        h.write_u64(self.next_stream as u64);
     }
 
     /// Produces the next region-relative offset and dependence flag.

@@ -9,11 +9,13 @@
 //! the models land in the paper's MPKI classes (H > 10 > M ≥ 1 > L) —
 //! `refsim-core` carries a calibration test asserting exactly that.
 
+use std::hash::Hasher;
+
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-use crate::pattern::{MemAccess, PatternKind, PatternState, SavedPattern};
+use crate::pattern::{MemAccess, PatternKind, PatternState};
 
 /// Memory-intensity class from Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -290,19 +292,6 @@ pub struct Op {
     pub mem: Option<MemAccess>,
 }
 
-/// Dynamic state of a [`TaskWorkload`], captured for state hashing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SavedWorkload {
-    /// Raw RNG state (determines the rest of the random stream).
-    pub rng_state: u64,
-    /// Cold-region pattern cursors.
-    pub cold: SavedPattern,
-    /// Hot-region sequential cursor.
-    pub hot_cursor: u64,
-    /// Memory-instruction credit accumulator.
-    pub mem_credit: u32,
-}
-
 /// Deterministic instruction-stream generator for one task.
 ///
 /// # Examples
@@ -352,15 +341,15 @@ impl TaskWorkload {
         &self.profile
     }
 
-    /// Captures the dynamic generator state (RNG, cursors) as plain data.
-    /// The benchmark and profile are configuration.
-    pub fn save_state(&self) -> SavedWorkload {
-        SavedWorkload {
-            rng_state: self.rng.state_u64(),
-            cold: self.cold.save_state(),
-            hot_cursor: self.hot_cursor,
-            mem_credit: self.mem_credit,
-        }
+    /// Streams the dynamic generator state into `h` for state hashing:
+    /// the raw RNG word, the cold-region cursors, the hot cursor and the
+    /// memory-instruction credit. The benchmark and profile are
+    /// configuration.
+    pub fn hash_state(&self, h: &mut dyn Hasher) {
+        h.write_u64(self.rng.state_u64());
+        self.cold.hash_state(h);
+        h.write_u64(self.hot_cursor);
+        h.write_u32(self.mem_credit);
     }
 
     /// XORs `mask` into the RNG state word, so the random stream departs
@@ -414,6 +403,26 @@ impl TaskWorkload {
 mod tests {
     use super::*;
     use rand::Rng;
+
+    /// Records a state stream as raw bytes, so two states compare byte
+    /// for byte.
+    #[derive(Default)]
+    struct Bytes(Vec<u8>);
+
+    impl Hasher for Bytes {
+        fn finish(&self) -> u64 {
+            0
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    fn state_bytes(w: &TaskWorkload) -> Vec<u8> {
+        let mut b = Bytes::default();
+        w.hash_state(&mut b);
+        b.0
+    }
 
     #[test]
     fn profiles_are_valid_and_nominally_in_class() {
@@ -542,7 +551,7 @@ mod tests {
                 };
                 assert_eq!(r, f, "{b} diverged at op {i}");
             }
-            assert_eq!(reference.save_state(), fast.save_state(), "{b}");
+            assert_eq!(state_bytes(&reference), state_bytes(&fast), "{b}");
         }
     }
 
